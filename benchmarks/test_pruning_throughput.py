@@ -8,10 +8,12 @@ Builds the pruned plan of crc32's full inject-on-read single-bit error space
   exact pruned campaign executes) must clear ``REPRO_BENCH_MIN_REDUCTION``
   (CI enforces 3.0; measured headroom is ~4.3x);
 * **cold planning** (def-use extraction + inference + assembly from
-  scratch, nothing cached) must beat the PR-4 object-based baseline of
-  ``REPRO_BENCH_PLAN_BASELINE`` seconds (47.11 on the reference box) by at
-  least ``REPRO_BENCH_MIN_PLAN_SPEEDUP`` (CI enforces 3.0; the columnar
-  pipeline measures ~3.8x);
+  scratch, nothing cached) must be at least ``REPRO_BENCH_MIN_PLAN_SPEEDUP``
+  times faster (CI enforces 3.0; the columnar pipeline measures 3.5-4.1x)
+  than the frozen object-based pipeline of
+  :mod:`repro.errorspace.reference`, timed in the same process on the same
+  error space — a ratio, so the gate holds on any runner — and both
+  pipelines must build the identical plan;
 * **warm planning** (the same plan fetched from the persistent artifact
   cache by a fresh session) must finish within
   ``REPRO_BENCH_MAX_WARM_PLAN`` seconds (CI enforces 1.0) and be
@@ -36,7 +38,6 @@ Knobs:
 ``REPRO_BENCH_PRUNING_SAMPLES``     audit sample size (default 600)
 ``REPRO_BENCH_MIN_REDUCTION``       reduction-factor gate (default 3.0)
 ``REPRO_BENCH_MAX_MISPREDICTION``   inherited-member gate (default 0.01)
-``REPRO_BENCH_PLAN_BASELINE``       PR-4 cold plan seconds (default 47.11)
 ``REPRO_BENCH_MIN_PLAN_SPEEDUP``    cold plan speedup gate (default 3.0)
 ``REPRO_BENCH_MAX_WARM_PLAN``       warm plan seconds gate (default 1.0)
 ``REPRO_BENCH_PRUNING_FULL``        run the unpruned space too (default off)
@@ -56,6 +57,10 @@ from pathlib import Path
 from repro import artifacts
 from repro.campaign.engine import run_error_batch
 from repro.errorspace import build_defuse_index, build_pruned_plan, enumerate_error_space
+from repro.errorspace.reference import (
+    reference_build_defuse_index,
+    reference_build_pruned_plan,
+)
 from repro.injection.outcome import OutcomeCounts
 from repro.programs.registry import get_experiment_runner
 
@@ -63,7 +68,6 @@ PROGRAM = os.environ.get("REPRO_BENCH_PRUNING_PROGRAM", "crc32")
 SAMPLES = int(os.environ.get("REPRO_BENCH_PRUNING_SAMPLES", "600"))
 MIN_REDUCTION = float(os.environ.get("REPRO_BENCH_MIN_REDUCTION", "3.0"))
 MAX_MISPREDICTION = float(os.environ.get("REPRO_BENCH_MAX_MISPREDICTION", "0.01"))
-PLAN_BASELINE = float(os.environ.get("REPRO_BENCH_PLAN_BASELINE", "47.11"))
 MIN_PLAN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_PLAN_SPEEDUP", "3.0"))
 MAX_WARM_PLAN = float(os.environ.get("REPRO_BENCH_MAX_WARM_PLAN", "1.0"))
 FULL = os.environ.get("REPRO_BENCH_PRUNING_FULL", "") == "1"
@@ -96,24 +100,41 @@ def quiesced_gc():
         gc.collect()
 
 
+def time_cold_plan(runner, space, build_index, build_plan):
+    """Build one pipeline's plan from scratch; returns ``(plan, seconds)``.
+
+    Def-use extraction, inference and plan assembly run inside the timer;
+    the golden trace and the error space are shared inputs outside it.
+    """
+    with quiesced_gc():
+        started = time.perf_counter()
+        index = build_index(
+            runner.program, runner.golden, args=runner.args, decoded=runner.decoded
+        )
+        plan = build_plan(space, index)
+        seconds = time.perf_counter() - started
+    return plan, seconds
+
+
 def test_pruning_reduction_and_misprediction():
     runner = get_experiment_runner(PROGRAM)
     space = enumerate_error_space(runner.golden, "inject-on-read")
 
-    # -- cold planning: derive everything from scratch (matches how the PR-4
-    # baseline of PLAN_BASELINE seconds was measured: def-use extraction +
-    # inference + plan assembly inside the timer, golden trace outside).
-    with quiesced_gc():
-        plan_started = time.perf_counter()
-        index = build_defuse_index(
-            runner.program, runner.golden, args=runner.args, decoded=runner.decoded
-        )
-        plan = build_pruned_plan(space, index)
-        plan_seconds = time.perf_counter() - plan_started
-    plan_speedup = PLAN_BASELINE / plan_seconds if plan_seconds > 0 else float("inf")
+    # -- cold planning: the frozen object-based pipeline is the baseline,
+    # timed on this host so the gate compares two pipelines, not two machines.
+    reference_plan, baseline_seconds = time_cold_plan(
+        runner, space, reference_build_defuse_index, reference_build_pruned_plan
+    )
+    plan, plan_seconds = time_cold_plan(
+        runner, space, build_defuse_index, build_pruned_plan
+    )
+    assert plan.matches(reference_plan), (
+        "columnar plan diverged from the frozen reference pipeline's plan"
+    )
+    plan_speedup = baseline_seconds / plan_seconds if plan_seconds > 0 else float("inf")
     assert plan_speedup >= MIN_PLAN_SPEEDUP, (
         f"cold planning took {plan_seconds:.2f}s — only {plan_speedup:.2f}x over "
-        f"the {PLAN_BASELINE}s object-based baseline, below the "
+        f"the {baseline_seconds:.2f}s object-based reference pipeline, below the "
         f"{MIN_PLAN_SPEEDUP}x gate"
     )
 
@@ -207,7 +228,7 @@ def test_pruning_reduction_and_misprediction():
         "equivalence_classes": plan.executed_experiments,
         "reduction_factor": round(reduction, 3),
         "plan_seconds": round(plan_seconds, 2),
-        "plan_baseline_seconds": PLAN_BASELINE,
+        "plan_baseline_seconds": round(baseline_seconds, 2),
         "plan_speedup_vs_baseline": round(plan_speedup, 2),
         "plan_seconds_warm": round(warm_seconds, 3),
         "audit": {
@@ -249,7 +270,7 @@ def test_pruning_reduction_and_misprediction():
 
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {RESULT_PATH.name}: reduction {reduction:.2f}x, "
-          f"cold plan {plan_seconds:.1f}s ({plan_speedup:.1f}x vs {PLAN_BASELINE}s "
-          f"baseline), warm plan {warm_seconds * 1000:.0f}ms, "
+          f"cold plan {plan_seconds:.1f}s ({plan_speedup:.1f}x vs the "
+          f"{baseline_seconds:.1f}s reference pipeline), warm plan {warm_seconds * 1000:.0f}ms, "
           f"misprediction {100.0 * misprediction_rate:.3f}% "
           f"({executed} audit experiments in {run_seconds:.0f}s)")
