@@ -10,9 +10,13 @@ provides:
 * :mod:`repro.campaign.plan` — helpers that expand a program list into the
   campaign grids behind each figure of the paper;
 * :mod:`repro.campaign.engine` — pluggable execution engines (serial and
-  multiprocess worker pool) with deterministic per-experiment seeding;
-* :mod:`repro.campaign.supervisor` — fault-tolerant chunk dispatch over raw
-  worker processes (crash detection, retries, bisection, quarantine);
+  multiprocess worker pool) with deterministic per-experiment seeding; every
+  dispatch path is one chunk job run by one job runner;
+* :mod:`repro.campaign.dispatch` — the chunk scheduler every executor shares
+  (retries, backoff, deadlines, bisection, quarantine) and the in-process
+  executor;
+* :mod:`repro.campaign.supervisor` — the worker-process executor (crash
+  and hang detection over raw processes and pipes);
 * :mod:`repro.campaign.ledger` — durable write-ahead chunk ledger enabling
   ``--resume`` after a killed run;
 * :mod:`repro.campaign.runner` — executes campaigns and collects results;
@@ -27,15 +31,18 @@ from repro.campaign.config import (
     PAPER_SCALE,
     SMOKE_SCALE,
 )
-from repro.campaign.engine import (
+from repro.campaign.dispatch import (
+    ChunkTask,
     DispatchRequest,
     DispatchTransport,
+    SupervisorStats,
+)
+from repro.campaign.engine import (
     EngineProgress,
     ExecutionEngine,
     MultiprocessEngine,
     RegistryProvider,
     SerialEngine,
-    SupervisedPoolTransport,
 )
 from repro.campaign.plan import (
     ExhaustiveCampaignRequest,
@@ -52,7 +59,7 @@ from repro.campaign.results import (
     ResultStore,
 )
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.supervisor import ChunkSupervisor, ChunkTask, SupervisorStats
+from repro.campaign.supervisor import ChunkSupervisor, SupervisedPoolTransport
 
 __all__ = [
     "BENCH_SCALE",

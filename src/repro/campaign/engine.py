@@ -1,42 +1,45 @@
-"""Pluggable campaign execution engines.
+"""Pluggable campaign execution engines over one chunk pipeline.
 
 A campaign is an embarrassingly parallel bag of experiments: every experiment
 is fully determined by ``CampaignConfig.experiment_seed(index)``, so the only
 shared state a worker needs is the compiled workload and its golden trace.
-This module exploits that with two interchangeable backends:
+This module exploits that with two interchangeable engines:
 
-* :class:`SerialEngine` — runs every experiment in-process, in index order;
-* :class:`MultiprocessEngine` — fans chunked experiment batches out to
-  supervised worker processes (:mod:`repro.campaign.supervisor`); each worker
-  builds the compiled workload + golden trace once (LLFI's
-  profile-once/inject-many split, batch-dispatched) and returns picklable
-  partial :class:`~repro.campaign.results.CampaignResult` objects that the
-  parent merges in index order.
+* :class:`SerialEngine` — runs every chunk in-process, in index order;
+* :class:`MultiprocessEngine` — fans chunks out through a
+  :class:`~repro.campaign.dispatch.DispatchTransport`: supervised worker
+  processes on this host (:mod:`repro.campaign.supervisor`) or remote worker
+  hosts (:mod:`repro.dist`).  Each worker builds the compiled workload +
+  golden trace once (LLFI's profile-once/inject-many split,
+  batch-dispatched) and returns picklable partial results that the parent
+  merges in index order.
+
+Every entry point — sampled campaigns (:meth:`ExecutionEngine.run`),
+exhaustive error batches (:meth:`ExecutionEngine.run_errors`) and the
+planner's inference pass (:meth:`MultiprocessEngine.plan_infer_map`) — is a
+:class:`ChunkJob` executed by the single :meth:`ExecutionEngine.run_job`,
+which owns everything around the chunks:
+
+* with a ledger directory configured, every completed chunk's partial is
+  appended to a durable write-ahead ledger (:mod:`repro.campaign.ledger`),
+  so a killed run restarted with ``resume=True`` executes only the missing
+  chunks and assembles a result byte-identical to an uninterrupted run;
+* SIGINT/SIGTERM drain in-flight chunks, flush the ledger and raise
+  :class:`~repro.errors.CampaignInterrupted`;
+* failing chunks are retried, bisected down to the offending unit and
+  quarantined with the ``crashed`` outcome (or raised, under
+  ``--no-quarantine``) by the shared scheduler
+  (:mod:`repro.campaign.dispatch`); a worker pool that keeps crashing
+  degrades to in-process execution with a warning instead of dying.
 
 Because seeds are derived per experiment index rather than drawn from one
 sequential stream, both engines produce bit-identical results for the same
 configuration, and any experiment can be replayed in isolation by index.
-
-Fault tolerance (both engines, all three dispatch paths — experiments,
-exhaustive errors, planner inference):
-
-* dead or wedged workers are detected, killed and replaced; their chunks are
-  retried with capped exponential backoff, bisected down to the offending
-  experiment when they keep failing, and quarantined with the ``crashed``
-  outcome (or raised, under ``--no-quarantine``);
-* with a ledger directory configured, every completed chunk's mergeable
-  partial is appended to a durable write-ahead ledger
-  (:mod:`repro.campaign.ledger`), so a killed run restarted with
-  ``resume=True`` executes only the missing chunks and assembles a result
-  byte-identical to an uninterrupted run;
-* SIGINT/SIGTERM drain in-flight chunks, flush the ledger and raise
-  :class:`~repro.errors.CampaignInterrupted`; repeated worker crashes
-  degrade the pooled engine to in-process serial execution with a warning
-  instead of dying.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -45,23 +48,21 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.config import CampaignConfig
-from repro.campaign.ledger import ChunkLedger
-from repro.campaign.results import CampaignResult
-from repro.campaign.supervisor import (
-    ChunkSupervisor,
+from repro.campaign.dispatch import (
     ChunkTask,
+    DispatchRequest,
+    DispatchTransport,
+    InProcessTransport,
     SupervisorStats,
     _SignalGuard,
 )
-from repro.errors import (
-    CampaignExecutionError,
-    CampaignInterrupted,
-    ConfigurationError,
-    ReproError,
-)
+from repro.campaign.ledger import ChunkLedger
+from repro.campaign.results import CampaignResult
+from repro.campaign.supervisor import SupervisedPoolTransport
+from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.injection.experiment import ExperimentResult, ExperimentRunner
 from repro.injection.faultmodel import FaultSpec
 from repro.injection.outcome import Outcome
@@ -202,15 +203,6 @@ def _phase_delta(runner: ExperimentRunner, before: dict) -> dict:
     }
 
 
-def _merged_phase_seconds(partials: Iterable["CampaignResult"]) -> dict:
-    """Summed per-phase seconds across partial results (any order)."""
-    totals: dict = {}
-    for partial in partials:
-        for phase, seconds in partial.phase_seconds.items():
-            totals[phase] = totals.get(phase, 0.0) + seconds
-    return totals
-
-
 def available_cpus() -> int:
     """CPUs usable by this process (affinity-aware, e.g. inside containers)."""
     try:
@@ -325,7 +317,16 @@ def persist_runner_artifacts(runner: ExperimentRunner) -> None:
     )
 
 
-# -- fault-tolerance plumbing shared by both engines --------------------------------
+# -- chunk jobs ---------------------------------------------------------------------
+#
+# Every dispatch path is a ChunkJob run by ExecutionEngine.run_job.  Workers
+# receive ``(fn, chunk_id, payload)`` messages; ``fn`` is one of the
+# module-level chunk functions below and ``state`` is whatever the job's
+# initializer returned (an ExperimentRunner or an OutcomeInference engine).
+
+#: Parent-side chaos knob: behave as if SIGINT arrived after *n* completed
+#: chunks (deterministic interrupt for resume tests and the CI smoke).
+CHAOS_ABORT_ENV = "REPRO_CHAOS_ABORT_AFTER_CHUNKS"
 
 
 def _run_key(kind: str, fingerprint: str, identity: dict) -> str:
@@ -349,69 +350,6 @@ def _module_fingerprint(runner: ExperimentRunner) -> str:
     from repro import artifacts
 
     return artifacts.module_fingerprint(runner.program.module)
-
-
-def _open_campaign_ledger(
-    ledger_dir: str,
-    *,
-    resume: bool,
-    runner: ExperimentRunner,
-    config: CampaignConfig,
-    resolved_win_size: int,
-    keep_records: bool,
-    chunk: int,
-) -> ChunkLedger:
-    key = _run_key(
-        "campaign",
-        _module_fingerprint(runner),
-        {
-            "campaign_id": config.campaign_id,
-            "master_seed": config.master_seed,
-            "experiments": config.experiments,
-            "resolved_win_size": resolved_win_size,
-            "keep_records": bool(keep_records),
-        },
-    )
-    return ChunkLedger.open(
-        Path(ledger_dir),
-        key,
-        total=config.experiments,
-        meta={"kind": "campaign", "campaign_id": config.campaign_id, "chunk": chunk},
-        resume=resume,
-    )
-
-
-def _open_errors_ledger(
-    ledger_dir: str,
-    *,
-    resume: bool,
-    runner: ExperimentRunner,
-    program: str,
-    technique: str,
-    errors: Sequence[Tuple[int, Optional[int], int]],
-    chunk: int,
-) -> ChunkLedger:
-    key = _run_key(
-        "errors",
-        _module_fingerprint(runner),
-        {
-            "program": program,
-            "technique": technique,
-            "errors": _errors_digest(errors),
-            "total": len(errors),
-        },
-    )
-    return ChunkLedger.open(
-        Path(ledger_dir),
-        key,
-        total=len(errors),
-        meta={
-            "kind": "errors",
-            "campaign_id": f"{program}/{technique}/error-space",
-            "chunk": chunk,
-        },
-        resume=resume,
-    )
 
 
 def _crashed_partial(
@@ -453,103 +391,6 @@ def _crashed_partial(
             keep_record=keep_records,
         )
     return partial
-
-
-def _guarded_experiment_batch(
-    runner: ExperimentRunner,
-    config: CampaignConfig,
-    resolved_win_size: int,
-    start: int,
-    count: int,
-    *,
-    keep_records: bool,
-    quarantine: bool,
-    stats: SupervisorStats,
-) -> CampaignResult:
-    """In-process batch execution that survives poisoned experiments.
-
-    Library-level errors (:class:`ReproError`) propagate — they mean the
-    campaign itself is misconfigured.  Anything else is treated like a
-    worker crash: the batch is bisected down to the offending experiment,
-    which is quarantined as ``crashed`` (or raised under no-quarantine).
-    """
-    try:
-        return run_experiment_batch(
-            runner, config, resolved_win_size, start, count, keep_records=keep_records
-        )
-    except (KeyboardInterrupt, SystemExit, ReproError):
-        raise
-    except Exception as exc:
-        if count == 1:
-            if not quarantine:
-                raise CampaignExecutionError(
-                    f"experiment {start} of {config.campaign_id} failed and "
-                    f"quarantine is disabled: {exc!r}"
-                ) from exc
-            stats.quarantined_units += 1
-            return _crashed_partial(
-                runner, config, resolved_win_size, start, 1, keep_records=keep_records
-            )
-        stats.bisections += 1
-        half = count // 2
-        left = _guarded_experiment_batch(
-            runner,
-            config,
-            resolved_win_size,
-            start,
-            half,
-            keep_records=keep_records,
-            quarantine=quarantine,
-            stats=stats,
-        )
-        right = _guarded_experiment_batch(
-            runner,
-            config,
-            resolved_win_size,
-            start + half,
-            count - half,
-            keep_records=keep_records,
-            quarantine=quarantine,
-            stats=stats,
-        )
-        return left.merge(right)
-
-
-def _guarded_error_values(
-    runner: ExperimentRunner,
-    technique_name: str,
-    errors: Sequence[Tuple[int, Optional[int], int]],
-    *,
-    quarantine: bool,
-    stats: SupervisorStats,
-) -> List[str]:
-    """Crash-guarded :func:`run_error_batch` returning outcome values."""
-    try:
-        return [outcome.value for outcome in run_error_batch(runner, technique_name, errors)]
-    except (KeyboardInterrupt, SystemExit, ReproError):
-        raise
-    except Exception as exc:
-        if len(errors) == 1:
-            if not quarantine:
-                raise CampaignExecutionError(
-                    f"error {errors[0]!r} failed and quarantine is disabled: {exc!r}"
-                ) from exc
-            stats.quarantined_units += 1
-            return [Outcome.CRASHED.value]
-        stats.bisections += 1
-        half = len(errors) // 2
-        return _guarded_error_values(
-            runner, technique_name, errors[:half], quarantine=quarantine, stats=stats
-        ) + _guarded_error_values(
-            runner, technique_name, errors[half:], quarantine=quarantine, stats=stats
-        )
-
-
-# -- supervised worker entry points -------------------------------------------------
-#
-# Supervised workers receive ``(fn, chunk_id, payload)`` messages; ``fn`` is
-# one of the module-level chunk functions below and ``state`` is whatever the
-# initializer returned (an ExperimentRunner or an OutcomeInference engine).
 
 
 def _initialise_supervised_runner(
@@ -600,131 +441,168 @@ def _infer_chunk(engine, triples) -> List[Optional[Outcome]]:
     ]
 
 
-def _split_experiment_task(task: ChunkTask) -> List[ChunkTask]:
-    config, resolved, start, count, keep_records = task.payload
-    half = count // 2
-    return [
-        ChunkTask(start, task.fn, (config, resolved, start, half, keep_records), half),
-        ChunkTask(
-            start + half,
-            task.fn,
-            (config, resolved, start + half, count - half, keep_records),
-            count - half,
-        ),
-    ]
-
-
-def _split_error_task(task: ChunkTask) -> List[ChunkTask]:
-    technique, errors = task.payload
-    half = len(errors) // 2
-    return [
-        ChunkTask(task.chunk_id, task.fn, (technique, errors[:half]), half),
-        ChunkTask(
-            task.chunk_id + half,
-            task.fn,
-            (technique, errors[half:]),
-            len(errors) - half,
-        ),
-    ]
-
-
-def _split_infer_task(task: ChunkTask) -> List[ChunkTask]:
-    triples = task.payload
-    half = len(triples) // 2
-    return [
-        ChunkTask(task.chunk_id, task.fn, triples[:half], half),
-        ChunkTask(task.chunk_id + half, task.fn, triples[half:], len(triples) - half),
-    ]
-
-
-# -- transport-agnostic dispatch seam -----------------------------------------------
-#
-# A pooled engine describes one dispatch round as a DispatchRequest — chunk
-# tasks, the worker initializer that builds per-process state, the split
-# function used for bisection, fault-tolerance knobs and the engine's
-# ledger/telemetry callbacks — and hands it to a DispatchTransport.  The
-# in-process supervised pool is one implementation; the socket coordinator in
-# :mod:`repro.dist` is another.  Because chunks are deterministic and merge by
-# offset, *where* a transport runs them cannot change the assembled bytes.
-
-
 @dataclass
-class DispatchRequest:
-    """Everything a transport needs to execute one chunked dispatch round.
+class ChunkJob:
+    """One chunked dispatch, described for :meth:`ExecutionEngine.run_job`.
 
-    ``initializer(provider, program)`` builds the per-worker state that the
-    chunk functions (``task.fn``) consume; both the initializer and the chunk
-    functions are module-level (picklable by reference), so a request can
-    cross process and host boundaries.  The callbacks run in the dispatching
-    process: ``on_chunk_done`` is the durability point (the engine fsyncs the
-    ledger there), ``on_grant`` and ``on_event`` feed telemetry.
+    A job names its work — ``total`` units cut into ``chunk``-sized tasks
+    whose payloads ``payload(start, count)`` builds — the module-level chunk
+    function and worker initializer that execute them, the merge that folds
+    chunk bodies (in offset order) into one body, the body recorded for a
+    quarantined chunk, and, when resumable, the ledger run identity and the
+    partial-payload codec.  Bisection splits a task into two payloads of the
+    same kind, so :meth:`split` follows from ``payload``.
     """
 
+    #: "campaign", "errors" or "infer": the ledger, run-log and request kind.
     kind: str
+    #: Names the run in progress lines, warnings and interrupt messages.
+    label: str
     program: str
-    provider: RunnerProvider
+    total: int
+    chunk: int
+    payload: Callable[[int, int], Any]
+    fn: Callable[[Any, Any], Any]
     initializer: Callable
-    tasks: List[ChunkTask]
-    split: Optional[Callable[[ChunkTask], List[ChunkTask]]]
-    jobs: int
-    start_method: str
-    max_retries: int = 3
-    chunk_timeout: Optional[float] = None
-    quarantine: bool = True
-    on_chunk_done: Optional[Callable[[ChunkTask, object], None]] = None
-    on_grant: Optional[Callable[[ChunkTask], None]] = None
-    on_event: Optional[Callable[..., None]] = None
+    merge: Callable[[List[Any]], Any]
+    quarantined: Callable[[ChunkTask], Any]
+    #: Per-phase seconds of a (merged) body.
+    phases: Callable[[Any], dict]
+    #: Ledger run identity (None: not resumable) and the body <-> JSON codec.
+    identity: Optional[Callable[[], dict]] = None
+    encode: Optional[Callable[[Any], dict]] = None
+    decode: Optional[Callable[[dict], Any]] = None
+    #: Run-log header fields.
+    meta: Optional[dict] = None
 
-    @property
-    def initargs(self) -> Tuple:
-        """Arguments for ``initializer`` — what workers need to warm up."""
-        return (self.provider, self.program)
+    def tasks(self, work: Sequence[Tuple[int, int]]) -> List[ChunkTask]:
+        return [
+            ChunkTask(start, self.fn, self.payload(start, count), count)
+            for start, count in work
+        ]
 
-
-class DispatchTransport:
-    """Interface between pooled engines and whatever executes their chunks."""
-
-    #: Short name surfaced as the engine name in telemetry and summaries.
-    name: str = "?"
-
-    def execute(self, request: DispatchRequest):
-        """Run every task of ``request``; return a ``SupervisedRun``."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (sockets, worker pools)."""
-
-    def __enter__(self) -> "DispatchTransport":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+    def split(self, task: ChunkTask) -> List[ChunkTask]:
+        half = task.size // 2
+        return self.tasks([(task.chunk_id, half), (task.chunk_id + half, task.size - half)])
 
 
-class SupervisedPoolTransport(DispatchTransport):
-    """The local dispatch path: a supervised process pool on this host."""
+def campaign_job(
+    config: CampaignConfig,
+    resolved_win_size: int,
+    *,
+    keep_records: bool,
+    provider: RunnerProvider,
+    chunk: int,
+) -> ChunkJob:
+    """Sampled experiments ``0 .. config.experiments``; bodies are partials."""
 
-    name = "multiprocess"
+    def merge(partials: List[CampaignResult]) -> CampaignResult:
+        result = CampaignResult(config=config, resolved_win_size=resolved_win_size)
+        for partial in partials:
+            result.merge(partial)
+        return result
 
-    def execute(self, request: DispatchRequest):
-        context = multiprocessing.get_context(request.start_method)
-        supervisor = ChunkSupervisor(
-            jobs=min(request.jobs, max(1, len(request.tasks))),
-            context=context,
-            initializer=request.initializer,
-            initargs=request.initargs,
-            max_retries=request.max_retries,
-            chunk_timeout=request.chunk_timeout,
-            quarantine=request.quarantine,
+    def quarantined(task: ChunkTask) -> CampaignResult:
+        return _crashed_partial(
+            provider(config.program),
+            config,
+            resolved_win_size,
+            task.chunk_id,
+            task.size,
+            keep_records=keep_records,
         )
-        return supervisor.run(
-            request.tasks,
-            split=request.split,
-            on_chunk_done=request.on_chunk_done,
-            on_grant=request.on_grant,
-            on_event=request.on_event,
-        )
+
+    return ChunkJob(
+        kind="campaign",
+        label=config.campaign_id,
+        program=config.program,
+        total=config.experiments,
+        chunk=chunk,
+        payload=lambda start, count: (config, resolved_win_size, start, count, keep_records),
+        fn=_experiment_chunk,
+        initializer=_initialise_supervised_runner,
+        merge=merge,
+        quarantined=quarantined,
+        phases=lambda result: result.phase_seconds,
+        identity=lambda: {
+            "campaign_id": config.campaign_id,
+            "master_seed": config.master_seed,
+            "experiments": config.experiments,
+            "resolved_win_size": resolved_win_size,
+            "keep_records": bool(keep_records),
+        },
+        encode=CampaignResult.to_partial_payload,
+        decode=lambda payload: CampaignResult.from_partial_payload(
+            config, resolved_win_size, payload
+        ),
+        meta={"campaign": config.campaign_id, "program": config.program},
+    )
+
+
+def errors_job(
+    program: str,
+    technique: str,
+    errors: Sequence[Tuple[int, Optional[int], int]],
+    order: Sequence[int],
+    *,
+    chunk: int,
+) -> ChunkJob:
+    """Pinned single-bit errors in ``order``; bodies are (values, phases)."""
+
+    def merge(bodies) -> Tuple[List[str], dict]:
+        phases: dict = {}
+        for _values, chunk_phases in bodies:
+            for phase, seconds in chunk_phases.items():
+                phases[phase] = phases.get(phase, 0.0) + seconds
+        return [value for values, _phases in bodies for value in values], phases
+
+    return ChunkJob(
+        kind="errors",
+        label=f"{program}/{technique}/error-space",
+        program=program,
+        total=len(errors),
+        chunk=chunk,
+        payload=lambda start, count: (
+            technique,
+            [errors[j] for j in order[start : start + count]],
+        ),
+        fn=_error_chunk,
+        initializer=_initialise_supervised_runner,
+        merge=merge,
+        quarantined=lambda task: ([Outcome.CRASHED.value] * task.size, {}),
+        phases=lambda body: body[1],
+        identity=lambda: {
+            "program": program,
+            "technique": technique,
+            "errors": _errors_digest(errors),
+            "total": len(errors),
+        },
+        encode=lambda body: {"outcomes": body[0]},
+        decode=lambda payload: (payload["outcomes"], {}),
+        meta={"program": program, "technique": technique},
+    )
+
+
+def infer_job(
+    program: str, triples: Sequence[Tuple[int, Optional[int], int]], *, chunk: int
+) -> ChunkJob:
+    """Outcome inference over ``(tick, slot, bit)`` triples; not ledgered.
+
+    A quarantined chunk infers as None: the planner executes those errors.
+    """
+    return ChunkJob(
+        kind="infer",
+        label=f"{program} inference pass",
+        program=program,
+        total=len(triples),
+        chunk=chunk,
+        payload=lambda start, count: triples[start : start + count],
+        fn=_infer_chunk,
+        initializer=_initialise_supervised_inference,
+        merge=lambda bodies: [outcome for body in bodies for outcome in body],
+        quarantined=lambda task: [None] * task.size,
+        phases=lambda body: {},
+    )
 
 
 class _RunTelemetry:
@@ -736,7 +614,7 @@ class _RunTelemetry:
     run-log directory (or without a ledger to take the key from) every
     method is a no-op, so engine code calls unconditionally.
 
-    Construct at the very top of a run method — cache-stats and metrics
+    Construct at the very top of a job run — cache-stats and metrics
     baselines are captured there, *before* the runner is built, so the
     run's own warm-up traffic (golden derivation, codegen, cache loads) is
     part of its ``run_finished`` delta while earlier runs in the same
@@ -792,7 +670,7 @@ class _RunTelemetry:
             self.log.emit("chunk_completed", chunk=chunk, count=count, done=done)
 
     def supervisor_event(self, event_type: str, **fields) -> None:
-        """Passthrough target for :meth:`ChunkSupervisor.run`'s ``on_event``."""
+        """Passthrough target for the scheduler's ``on_event``."""
         if self.log is not None:
             self.log.emit(event_type, **fields)
 
@@ -874,13 +752,22 @@ class _RunTelemetry:
 
 
 class ExecutionEngine:
-    """Interface every campaign execution backend implements."""
+    """Interface every campaign execution backend implements.
+
+    Every entry point describes its work as a :class:`ChunkJob` and hands it
+    to :meth:`run_job`; engines differ only in the transport that executes
+    chunks, the chunk grid and how the parent warms up before dispatch.  The
+    base class runs chunks in-process.
+    """
 
     #: Short name used in progress messages and benchmark labels.
     name: str = "?"
 
-    #: Per-phase wall-clock seconds of the most recent :meth:`run_errors`
-    #: call (restore / pre_window / window / tail), for the CLI summary.
+    #: Worker processes (or hosts' fallback pool size) chunks spread over.
+    jobs: int = 1
+
+    #: Per-phase wall-clock seconds of the most recent call (restore /
+    #: pre_window / window / tail), for the CLI summary.
     phase_seconds: dict = {}
 
     #: Fault-tolerance accounting of the most recent run (retries, worker
@@ -888,7 +775,11 @@ class ExecutionEngine:
     #: usage), ``phase_seconds``-style: observability only, never serialized.
     supervision: dict = {}
 
-    # Fault-tolerance knobs shared by the engine implementations.
+    # Dispatch and fault-tolerance knobs shared by the engine implementations.
+    _transport: DispatchTransport = InProcessTransport()
+    _start_method: Optional[str] = None
+    _max_retries: int = 0
+    _chunk_timeout: Optional[float] = None
     _ledger_dir: Optional[str] = None
     _resume: bool = False
     _quarantine: bool = True
@@ -904,7 +795,14 @@ class ExecutionEngine:
         on_progress: Optional[ProgressCallback] = None,
     ) -> CampaignResult:
         """Execute every experiment of one campaign and aggregate the outcome."""
-        raise NotImplementedError
+        job = campaign_job(
+            config,
+            config.resolve_win_size(),
+            keep_records=keep_records,
+            provider=provider,
+            chunk=self._campaign_chunk(config.experiments),
+        )
+        return self.run_job(job, provider=provider, on_progress=on_progress)
 
     def run_errors(
         self,
@@ -918,118 +816,19 @@ class ExecutionEngine:
         """Execute deterministic single-bit errors; outcomes in input order.
 
         This is the execution path of exhaustive and pruned error-space
-        campaigns (:mod:`repro.errorspace`).  The base implementation runs
-        in-process — crash-guarded and, with a ledger directory configured,
-        resumable — while pooled engines override it with supervised chunked
-        dispatch.
+        campaigns (:mod:`repro.errorspace`).
         """
-        telemetry = _RunTelemetry()
-        runner = provider(program)
-        total = len(errors)
-        stats = SupervisorStats()
-        # Global tick sort first, then contiguous chunks: consecutive
-        # experiments share fast-forward checkpoints across chunk borders.
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        outcomes: List[Optional[Outcome]] = [None] * total
-        chunk = 256
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None and total:
-            ledger = _open_errors_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=runner,
-                program=program,
-                technique=technique,
-                errors=errors,
-                chunk=chunk,
-            )
-            for start, entry in sorted(ledger.completed.items()):
-                values = entry["outcomes"]
-                for position, value in zip(order[start : start + len(values)], values):
-                    outcomes[position] = Outcome(value)
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = ledger.loaded_units if ledger is not None else 0
-        label = f"{program}/{technique}/error-space"
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"program": program, "technique": technique},
+        # Global tick sort first, then contiguous chunks: every chunk is a
+        # dense slice of injection times, so consecutive experiments share
+        # fast-forward checkpoints.
+        order = sorted(range(len(errors)), key=lambda j: errors[j][0])
+        job = errors_job(
+            program, technique, errors, order, chunk=self._error_chunk(len(errors))
         )
-        telemetry.started(kind="errors", total=total, engine=self.name, jobs=1)
-        telemetry.resume_replay(ledger)
-        phase_before = _phase_snapshot(runner)
-        guard = _SignalGuard()
-        guard.install()
-        interrupted = False
-        try:
-            abort_after = int(os.environ.get("REPRO_CHAOS_ABORT_AFTER_CHUNKS", "0") or 0)
-        except ValueError:
-            abort_after = 0
-        completed_chunks = 0
-        try:
-            for start, count in work:
-                positions = order[start : start + count]
-                batch = [errors[j] for j in positions]
-                if ledger is not None:
-                    ledger.record_grant(start, count)
-                telemetry.chunk_dispatched(start, count)
-                values = _guarded_error_values(
-                    runner, technique, batch, quarantine=self._quarantine, stats=stats
-                )
-                for position, value in zip(positions, values):
-                    outcomes[position] = Outcome(value)
-                if ledger is not None:
-                    ledger.record_done(start, count, {"outcomes": values})
-                done += count
-                telemetry.chunk_completed(start, count, done)
-                completed_chunks += 1
-                stats.chunks_completed += 1
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=label,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-                if guard.stop_requested or (
-                    abort_after and completed_chunks >= abort_after
-                ):
-                    interrupted = done < total
-                    break
-        finally:
-            guard.restore()
-            if ledger is not None:
-                ledger.close()
-        self.phase_seconds = _phase_delta(runner, phase_before)
-        stats.interrupted = interrupted
-        self.supervision = self._supervision_summary(stats, ledger, 0)
-        telemetry.finished(
-            status="interrupted" if interrupted else "finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=self.phase_seconds,
-            supervision=self.supervision,
-        )
-        if interrupted:
-            raise CampaignInterrupted(
-                self._interrupt_message(label, done, total, ledger),
-                done=done,
-                total=total,
-                resumable=ledger is not None,
-            )
-        if ledger is not None and total and done >= total:
-            ledger.compact(
-                [(0, total, {"outcomes": [outcomes[j].value for j in order]})]
-            )
+        values, _phases = self.run_job(job, provider=provider, on_progress=on_progress)
+        outcomes: List[Optional[Outcome]] = [None] * len(errors)
+        for position, value in zip(order, values):
+            outcomes[position] = Outcome(value)
         return outcomes
 
     def plan_infer_map(self, program: str, *, provider: RunnerProvider):
@@ -1041,20 +840,165 @@ class ExecutionEngine:
         """
         return None
 
-    def _supervision_summary(
+    def _campaign_chunk(self, total: int) -> int:
+        return 25
+
+    def _error_chunk(self, total: int) -> int:
+        return 256
+
+    def _warm(self, job: ChunkJob, provider: RunnerProvider) -> None:
+        """Prepare the parent before ``job``'s chunks are dispatched."""
+
+    def run_job(
         self,
-        stats: SupervisorStats,
-        ledger: Optional[ChunkLedger],
-        serial_fallback_units: int,
-    ) -> dict:
-        summary = stats.as_dict()
-        summary["serial_fallback_units"] = serial_fallback_units
-        summary["ledger_loaded_chunks"] = (
-            len(ledger.completed) if ledger is not None else 0
+        job: ChunkJob,
+        *,
+        provider: RunnerProvider,
+        on_progress: Optional[ProgressCallback] = None,
+    ):
+        """Execute ``job`` through this engine's transport; return its merged body.
+
+        Owns everything around the chunks: the resumable ledger (open, replay,
+        record, compact), the run-event log, the SIGINT/SIGTERM guard and the
+        chaos abort, progress, degrading a crashed-out worker pool to
+        in-process execution, quarantined chunks and the interrupt.
+        """
+        # Telemetry first: its baselines must precede the runner build, so
+        # this run's warm-up traffic lands in its ``run_finished`` delta.
+        telemetry = _RunTelemetry()
+        self._warm(job, provider)
+        bodies: Dict[int, Any] = {}
+        ledger: Optional[ChunkLedger] = None
+        if self._ledger_dir is not None and job.identity is not None and job.total:
+            ledger = ChunkLedger.open(
+                Path(self._ledger_dir),
+                _run_key(job.kind, _module_fingerprint(provider(job.program)), job.identity()),
+                total=job.total,
+                meta={"kind": job.kind, "campaign_id": job.label, "chunk": job.chunk},
+                resume=self._resume,
+            )
+            for start, payload in ledger.completed.items():
+                bodies[start] = job.decode(payload)
+            work = ledger.missing(job.chunk)
+        else:
+            work = [
+                (start, min(job.chunk, job.total - start))
+                for start in range(0, job.total, job.chunk)
+            ]
+        started = time.monotonic()
+        done = ledger.loaded_units if ledger is not None else 0
+        telemetry.attach(self._runlog_dir, ledger, resume=self._resume, meta=job.meta)
+        telemetry.started(kind=job.kind, total=job.total, engine=self.name, jobs=self.jobs)
+        telemetry.resume_replay(ledger)
+        guard = _SignalGuard()
+        try:
+            abort_after = int(os.environ.get(CHAOS_ABORT_ENV, "0") or 0)
+        except ValueError:
+            abort_after = 0
+        completed_chunks = 0
+
+        def on_grant(task: ChunkTask) -> None:
+            if ledger is not None:
+                ledger.record_grant(task.chunk_id, task.size)
+            telemetry.chunk_dispatched(task.chunk_id, task.size)
+
+        def on_done(task: ChunkTask, body) -> None:
+            nonlocal done, completed_chunks
+            bodies[task.chunk_id] = body
+            if ledger is not None:
+                ledger.record_done(task.chunk_id, task.size, job.encode(body))
+            done += task.size
+            telemetry.chunk_completed(task.chunk_id, task.size, done)
+            if on_progress is not None:
+                on_progress(
+                    EngineProgress(
+                        campaign_id=job.label,
+                        done=done,
+                        total=job.total,
+                        elapsed_seconds=time.monotonic() - started,
+                    )
+                )
+            completed_chunks += 1
+            if abort_after and completed_chunks >= abort_after:
+                guard.stop_requested = True
+
+        request = DispatchRequest(
+            kind=job.kind,
+            program=job.program,
+            provider=provider,
+            initializer=job.initializer,
+            tasks=job.tasks(work),
+            split=job.split,
+            jobs=self.jobs,
+            start_method=self._start_method,
+            max_retries=self._max_retries,
+            chunk_timeout=self._chunk_timeout,
+            quarantine=self._quarantine,
+            on_chunk_done=on_done,
+            on_grant=on_grant,
+            on_event=telemetry.supervisor_event,
+            stop=guard,
         )
+        stats = SupervisorStats()
+        fallback_units = 0
+        guard.install()
+        try:
+            if request.tasks:
+                run = self._transport.execute(request)
+                stats.merge(run.stats)
+                quarantined = run.quarantined
+                if run.stats.degraded and run.unfinished:
+                    fallback_units = sum(task.size for task in run.unfinished)
+                    warnings.warn(
+                        f"supervised worker pool for {job.label} degraded after "
+                        f"repeated worker crashes; finishing the remaining "
+                        f"{fallback_units} "
+                        f"{'experiments' if job.kind == 'campaign' else 'errors'} "
+                        f"serially in-process",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    rest = InProcessTransport().execute(
+                        dataclasses.replace(request, tasks=run.unfinished)
+                    )
+                    stats.merge(rest.stats)
+                    quarantined = quarantined + rest.quarantined
+                for chunk in quarantined:
+                    on_done(chunk.task, job.quarantined(chunk.task))
+        finally:
+            guard.restore()
+            if ledger is not None:
+                ledger.close()
+        stats.interrupted = stats.interrupted and done < job.total
+        merged = job.merge([bodies[start] for start in sorted(bodies)])
+        self.phase_seconds = dict(job.phases(merged))
+        summary = stats.as_dict()
+        summary["serial_fallback_units"] = fallback_units
+        summary["ledger_loaded_chunks"] = len(ledger.completed) if ledger is not None else 0
         summary["ledger_loaded_units"] = ledger.loaded_units if ledger is not None else 0
         summary["ledger_path"] = str(ledger.path) if ledger is not None else None
-        return summary
+        dist = getattr(self._transport, "stats", None)
+        if dist is not None:
+            summary["distributed"] = dist.as_dict()
+        self.supervision = summary
+        telemetry.finished(
+            status="interrupted" if stats.interrupted else "finished",
+            done=done,
+            total=job.total,
+            seconds=time.monotonic() - started,
+            phase_seconds=self.phase_seconds,
+            supervision=summary,
+        )
+        if stats.interrupted:
+            raise CampaignInterrupted(
+                self._interrupt_message(job.label, done, job.total, ledger),
+                done=done,
+                total=job.total,
+                resumable=ledger is not None,
+            )
+        if ledger is not None and done >= job.total:
+            ledger.compact([(0, job.total, job.encode(merged))])
+        return merged
 
     @staticmethod
     def _interrupt_message(
@@ -1089,10 +1033,10 @@ class SerialEngine(ExecutionEngine):
 
     Shares the pooled engines' fault-tolerance surface where it makes sense
     without workers: poisoned experiments are bisected and quarantined as
-    ``crashed`` (``quarantine=False`` raises instead), completed chunks are
-    ledgered when ``ledger_dir`` is set, and SIGINT/SIGTERM finish the
-    current chunk, flush the ledger and raise
-    :class:`~repro.errors.CampaignInterrupted`.
+    ``crashed`` (``quarantine=False`` raises instead), completed chunks of
+    ``progress_interval`` experiments are ledgered when ``ledger_dir`` is
+    set, and SIGINT/SIGTERM finish the current chunk, flush the ledger and
+    raise :class:`~repro.errors.CampaignInterrupted`.
     """
 
     name = "serial"
@@ -1116,139 +1060,18 @@ class SerialEngine(ExecutionEngine):
         self._resume = resume
         self._runlog_dir = runlog_dir
 
-    def run(
-        self,
-        config: CampaignConfig,
-        *,
-        provider: RunnerProvider,
-        keep_records: bool = True,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> CampaignResult:
-        telemetry = _RunTelemetry()
-        runner = provider(config.program)
-        resolved = config.resolve_win_size()
-        total = config.experiments
-        stats = SupervisorStats()
-        chunk = self._interval
-        partials: Dict[int, CampaignResult] = {}
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None:
-            ledger = _open_campaign_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=runner,
-                config=config,
-                resolved_win_size=resolved,
-                keep_records=keep_records,
-                chunk=chunk,
-            )
-            for start, payload in ledger.completed.items():
-                partials[start] = CampaignResult.from_partial_payload(
-                    config, resolved, payload
-                )
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = sum(partial.experiments for partial in partials.values())
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"campaign": config.campaign_id, "program": config.program},
-        )
-        telemetry.started(
-            kind="campaign", total=total, engine=self.name, jobs=1
-        )
-        telemetry.resume_replay(ledger)
-        guard = _SignalGuard()
-        guard.install()
-        interrupted = False
-        try:
-            abort_after = int(os.environ.get("REPRO_CHAOS_ABORT_AFTER_CHUNKS", "0") or 0)
-        except ValueError:
-            abort_after = 0
-        completed_chunks = 0
-        try:
-            for start, count in work:
-                if ledger is not None:
-                    ledger.record_grant(start, count)
-                telemetry.chunk_dispatched(start, count)
-                partial = _guarded_experiment_batch(
-                    runner,
-                    config,
-                    resolved,
-                    start,
-                    count,
-                    keep_records=keep_records,
-                    quarantine=self._quarantine,
-                    stats=stats,
-                )
-                partials[start] = partial
-                if ledger is not None:
-                    ledger.record_done(start, count, partial.to_partial_payload())
-                done += count
-                telemetry.chunk_completed(start, count, done)
-                completed_chunks += 1
-                stats.chunks_completed += 1
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=config.campaign_id,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-                if guard.stop_requested or (
-                    abort_after and completed_chunks >= abort_after
-                ):
-                    interrupted = done < total
-                    break
-        finally:
-            guard.restore()
-            if ledger is not None:
-                ledger.close()
-        stats.interrupted = interrupted
-        self.supervision = self._supervision_summary(stats, ledger, 0)
-        telemetry.finished(
-            status="interrupted" if interrupted else "finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=_merged_phase_seconds(partials.values()),
-            supervision=self.supervision,
-        )
-        if interrupted:
-            raise CampaignInterrupted(
-                self._interrupt_message(config.campaign_id, done, total, ledger),
-                done=done,
-                total=total,
-                resumable=ledger is not None,
-            )
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        for start in sorted(partials):
-            result.merge(partials[start])
-        if ledger is not None and total and done >= total:
-            ledger.compact([(0, total, result.to_partial_payload())])
-        return result
+    def _campaign_chunk(self, total: int) -> int:
+        return self._interval
 
 
 class MultiprocessEngine(ExecutionEngine):
-    """Fans experiment batches out to supervised worker processes.
+    """Fans chunks out to supervised worker processes (or worker hosts).
 
     Each worker process holds exactly one compiled workload + golden trace;
     experiments are dispatched as contiguous index chunks and the partial
     results are merged in index order, so the assembled campaign result is
     bit-identical to a :class:`SerialEngine` run of the same config — chunk
     retries, worker restarts, bisection and resume cannot change the bytes.
-
-    ``supervised=False`` falls back to the original blind ``Pool.imap``
-    dispatch (no crash recovery, no ledger) — kept as the baseline the
-    supervised path's overhead is benchmarked against, and as an escape
-    hatch.
 
     The default start method is ``fork`` where available (Linux), which lets
     workers inherit already-compiled workloads and makes arbitrary provider
@@ -1264,7 +1087,6 @@ class MultiprocessEngine(ExecutionEngine):
         *,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        supervised: bool = True,
         max_retries: int = 3,
         chunk_timeout: Optional[float] = None,
         quarantine: bool = True,
@@ -1290,7 +1112,6 @@ class MultiprocessEngine(ExecutionEngine):
         self.jobs = resolved_jobs
         self._chunk_size = chunk_size
         self._start_method = start_method
-        self._supervised = supervised
         self._max_retries = max_retries
         self._chunk_timeout = chunk_timeout
         self._quarantine = quarantine
@@ -1302,14 +1123,15 @@ class MultiprocessEngine(ExecutionEngine):
         # for the local pool, "distributed" for the socket coordinator).
         self.name = self._transport.name
 
-    def _warm_provider(self, provider: RunnerProvider, program: str) -> None:
+    def _warm(self, job: ChunkJob, provider: RunnerProvider) -> None:
         """Warm the parent once before dispatch.
 
         Under ``fork`` this lets workers inherit the compiled workload,
         decoded program and golden trace.  Whenever the artifact cache is
-        active — any start method — the warm runner's artifacts are also
-        persisted to disk, so derivation happens once per host and spawned
-        workers load instead of re-deriving.
+        active — any start method — the warm runner's artifacts (and, for
+        inference, the def-use index) are also persisted to disk, so
+        derivation happens once per host and spawned workers load instead
+        of re-deriving.
         """
         from repro import artifacts
 
@@ -1317,533 +1139,27 @@ class MultiprocessEngine(ExecutionEngine):
             provider.prepare()
         cache_active = artifacts.active_cache() is not None
         if self._start_method == "fork" or cache_active:
-            runner = provider(program)
+            runner = provider(job.program)
             if cache_active:
                 persist_runner_artifacts(runner)
+        if job.kind == "infer" and cache_active:
+            from repro.programs.registry import get_defuse_index
 
-    def _experiment_chunk_size(self, total: int) -> int:
-        chunk = self._chunk_size
-        if chunk is None:
-            # Aim for ~4 batches per worker so stragglers rebalance, capped to
-            # keep per-batch IPC payloads small.
-            chunk = max(1, min(64, -(-total // (self.jobs * 4))))
-        return chunk
+            get_defuse_index(job.program)
 
-    def _batches(self, total: int) -> List[Tuple[int, int]]:
-        chunk = self._experiment_chunk_size(total)
-        return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
+    def _campaign_chunk(self, total: int) -> int:
+        # Aim for ~4 batches per worker so stragglers rebalance, capped to
+        # keep per-batch IPC payloads small.
+        return self._chunk_size or max(1, min(64, -(-total // (self.jobs * 4))))
 
-    def _dispatch(
-        self,
-        *,
-        kind: str,
-        program: str,
-        provider: RunnerProvider,
-        initializer: Callable,
-        tasks: List[ChunkTask],
-        split: Optional[Callable[[ChunkTask], List[ChunkTask]]],
-        on_chunk_done=None,
-        on_grant=None,
-        on_event=None,
-    ):
-        """Execute one chunked round through the configured transport."""
-        request = DispatchRequest(
-            kind=kind,
-            program=program,
-            provider=provider,
-            initializer=initializer,
-            tasks=tasks,
-            split=split,
-            jobs=self.jobs,
-            start_method=self._start_method,
-            max_retries=self._max_retries,
-            chunk_timeout=self._chunk_timeout,
-            quarantine=self._quarantine,
-            on_chunk_done=on_chunk_done,
-            on_grant=on_grant,
-            on_event=on_event,
-        )
-        return self._transport.execute(request)
+    def _error_chunk(self, total: int) -> int:
+        return self._chunk_size or max(32, min(512, -(-total // (self.jobs * 4))))
 
     def close(self) -> None:
         self._transport.close()
 
-    def _supervision_summary(
-        self,
-        stats: SupervisorStats,
-        ledger: Optional[ChunkLedger],
-        serial_fallback_units: int,
-    ) -> dict:
-        summary = super()._supervision_summary(stats, ledger, serial_fallback_units)
-        dist = getattr(self._transport, "stats", None)
-        if dist is not None:
-            summary["distributed"] = dist.as_dict()
-        return summary
-
-    # -- sampled campaigns --------------------------------------------------------
-
-    def run(
-        self,
-        config: CampaignConfig,
-        *,
-        provider: RunnerProvider,
-        keep_records: bool = True,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> CampaignResult:
-        if not self._supervised:
-            return self._run_pool(
-                config,
-                provider=provider,
-                keep_records=keep_records,
-                on_progress=on_progress,
-            )
-        telemetry = _RunTelemetry()
-        resolved = config.resolve_win_size()
-        total = config.experiments
-        chunk = self._experiment_chunk_size(total)
-        self._warm_provider(provider, config.program)
-        partials: Dict[int, CampaignResult] = {}
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None:
-            ledger = _open_campaign_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=provider(config.program),
-                config=config,
-                resolved_win_size=resolved,
-                keep_records=keep_records,
-                chunk=chunk,
-            )
-            for start, payload in ledger.completed.items():
-                partials[start] = CampaignResult.from_partial_payload(
-                    config, resolved, payload
-                )
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = sum(partial.experiments for partial in partials.values())
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"campaign": config.campaign_id, "program": config.program},
-        )
-        telemetry.started(
-            kind="campaign", total=total, engine=self.name, jobs=self.jobs
-        )
-        telemetry.resume_replay(ledger)
-
-        def emit_progress() -> None:
-            if on_progress is not None:
-                on_progress(
-                    EngineProgress(
-                        campaign_id=config.campaign_id,
-                        done=done,
-                        total=total,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                )
-
-        tasks = [
-            ChunkTask(
-                start,
-                _experiment_chunk,
-                (config, resolved, start, count, keep_records),
-                count,
-            )
-            for start, count in work
-        ]
-
-        def on_done(task: ChunkTask, partial: CampaignResult) -> None:
-            nonlocal done
-            partials[task.chunk_id] = partial
-            done += task.size
-            if ledger is not None:
-                ledger.record_done(task.chunk_id, task.size, partial.to_partial_payload())
-            telemetry.chunk_completed(task.chunk_id, task.size, done)
-            emit_progress()
-
-        def on_grant(task: ChunkTask) -> None:
-            if ledger is not None:
-                ledger.record_grant(task.chunk_id, task.size)
-            telemetry.chunk_dispatched(task.chunk_id, task.size)
-
-        stats = SupervisorStats()
-        serial_fallback_units = 0
-        try:
-            if tasks:
-                outcome = self._dispatch(
-                    kind="campaign",
-                    program=config.program,
-                    provider=provider,
-                    initializer=_initialise_supervised_runner,
-                    tasks=tasks,
-                    split=_split_experiment_task,
-                    on_chunk_done=on_done,
-                    on_grant=on_grant,
-                    on_event=telemetry.supervisor_event,
-                )
-                stats.merge(outcome.stats)
-                if outcome.interrupted and done < total:
-                    self.supervision = self._supervision_summary(
-                        stats, ledger, serial_fallback_units
-                    )
-                    telemetry.finished(
-                        status="interrupted",
-                        done=done,
-                        total=total,
-                        seconds=time.monotonic() - started,
-                        phase_seconds=_merged_phase_seconds(partials.values()),
-                        supervision=self.supervision,
-                    )
-                    raise CampaignInterrupted(
-                        self._interrupt_message(config.campaign_id, done, total, ledger),
-                        done=done,
-                        total=total,
-                        resumable=ledger is not None,
-                    )
-                if outcome.degraded and outcome.unfinished:
-                    serial_units = sum(task.size for task in outcome.unfinished)
-                    warnings.warn(
-                        f"supervised worker pool for {config.campaign_id} degraded "
-                        f"after repeated worker crashes; finishing the remaining "
-                        f"{serial_units} experiments serially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    runner = provider(config.program)
-                    for task in outcome.unfinished:
-                        _, _, start, count, _ = task.payload
-                        partial = _guarded_experiment_batch(
-                            runner,
-                            config,
-                            resolved,
-                            start,
-                            count,
-                            keep_records=keep_records,
-                            quarantine=self._quarantine,
-                            stats=stats,
-                        )
-                        on_done(task, partial)
-                        serial_fallback_units += task.size
-                if outcome.quarantined:
-                    runner = provider(config.program)
-                    for quarantined in outcome.quarantined:
-                        _, _, start, count, _ = quarantined.task.payload
-                        partial = _crashed_partial(
-                            runner,
-                            config,
-                            resolved,
-                            start,
-                            count,
-                            keep_records=keep_records,
-                        )
-                        on_done(quarantined.task, partial)
-        finally:
-            if ledger is not None:
-                ledger.close()
-        self.supervision = self._supervision_summary(stats, ledger, serial_fallback_units)
-        telemetry.finished(
-            status="finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=_merged_phase_seconds(partials.values()),
-            supervision=self.supervision,
-        )
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        for start in sorted(partials):
-            result.merge(partials[start])
-        if ledger is not None and total and done >= total:
-            ledger.compact([(0, total, result.to_partial_payload())])
-        return result
-
-    def _run_pool(
-        self,
-        config: CampaignConfig,
-        *,
-        provider: RunnerProvider,
-        keep_records: bool = True,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> CampaignResult:
-        """Legacy blind ``Pool.imap`` dispatch (``supervised=False``)."""
-        resolved = config.resolve_win_size()
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        batches = self._batches(config.experiments)
-        tasks = [
-            (config, resolved, start, count, keep_records) for start, count in batches
-        ]
-        context = multiprocessing.get_context(self._start_method)
-        self._warm_provider(provider, config.program)
-        started = time.monotonic()
-        done = 0
-        with context.Pool(
-            processes=min(self.jobs, len(batches)),
-            initializer=_initialise_worker,
-            initargs=(provider, config.program),
-        ) as pool:
-            # imap yields partials in submission order, which keeps the merged
-            # record stream identical to a serial run.
-            for partial in pool.imap(_run_worker_batch, tasks):
-                result.merge(partial)
-                done += partial.experiments
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=config.campaign_id,
-                            done=done,
-                            total=config.experiments,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-        return result
-
-    # -- exhaustive error spaces --------------------------------------------------
-
-    def _error_chunk_size(self, total: int) -> int:
-        chunk = self._chunk_size
-        if chunk is None:
-            chunk = max(32, min(512, -(-total // (self.jobs * 4))))
-        return chunk
-
-    def run_errors(
-        self,
-        program: str,
-        technique: str,
-        errors: Sequence[Tuple[int, Optional[int], int]],
-        *,
-        provider: RunnerProvider,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> List[Outcome]:
-        if not self._supervised:
-            return self._run_errors_pool(
-                program, technique, errors, provider=provider, on_progress=on_progress
-            )
-        total = len(errors)
-        if total == 0:
-            return []
-        telemetry = _RunTelemetry()
-        # Tick-sorted contiguous chunks: every worker's batch is a dense
-        # slice of injection times, maximising checkpoint reuse per process.
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        chunk = self._error_chunk_size(total)
-        self._warm_provider(provider, program)
-        outcomes: List[Optional[Outcome]] = [None] * total
-        label = f"{program}/{technique}/error-space"
-        ledger: Optional[ChunkLedger] = None
-        loaded_units = 0
-        if self._ledger_dir is not None:
-            ledger = _open_errors_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=provider(program),
-                program=program,
-                technique=technique,
-                errors=errors,
-                chunk=chunk,
-            )
-            for start, entry in sorted(ledger.completed.items()):
-                values = entry["outcomes"]
-                for position, value in zip(order[start : start + len(values)], values):
-                    outcomes[position] = Outcome(value)
-            loaded_units = ledger.loaded_units
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = loaded_units
-        phase_totals: dict = {}
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"program": program, "technique": technique},
-        )
-        telemetry.started(kind="errors", total=total, engine=self.name, jobs=self.jobs)
-        telemetry.resume_replay(ledger)
-
-        def emit_progress() -> None:
-            if on_progress is not None:
-                on_progress(
-                    EngineProgress(
-                        campaign_id=label,
-                        done=done,
-                        total=total,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                )
-
-        tasks = [
-            ChunkTask(
-                start,
-                _error_chunk,
-                (technique, [errors[j] for j in order[start : start + count]]),
-                count,
-            )
-            for start, count in work
-        ]
-
-        def apply_values(start: int, values: List[str]) -> None:
-            for position, value in zip(order[start : start + len(values)], values):
-                outcomes[position] = Outcome(value)
-
-        def on_done(task: ChunkTask, body) -> None:
-            nonlocal done
-            values, phases = body
-            apply_values(task.chunk_id, values)
-            for phase, seconds in phases.items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-            if ledger is not None:
-                ledger.record_done(task.chunk_id, task.size, {"outcomes": values})
-            done += task.size
-            telemetry.chunk_completed(task.chunk_id, task.size, done)
-            emit_progress()
-
-        def on_grant(task: ChunkTask) -> None:
-            if ledger is not None:
-                ledger.record_grant(task.chunk_id, task.size)
-            telemetry.chunk_dispatched(task.chunk_id, task.size)
-
-        stats = SupervisorStats()
-        serial_fallback_units = 0
-        try:
-            if tasks:
-                outcome = self._dispatch(
-                    kind="errors",
-                    program=program,
-                    provider=provider,
-                    initializer=_initialise_supervised_runner,
-                    tasks=tasks,
-                    split=_split_error_task,
-                    on_chunk_done=on_done,
-                    on_grant=on_grant,
-                    on_event=telemetry.supervisor_event,
-                )
-                stats.merge(outcome.stats)
-                if outcome.interrupted and done < total:
-                    self.phase_seconds = phase_totals
-                    self.supervision = self._supervision_summary(
-                        stats, ledger, serial_fallback_units
-                    )
-                    telemetry.finished(
-                        status="interrupted",
-                        done=done,
-                        total=total,
-                        seconds=time.monotonic() - started,
-                        phase_seconds=phase_totals,
-                        supervision=self.supervision,
-                    )
-                    raise CampaignInterrupted(
-                        self._interrupt_message(label, done, total, ledger),
-                        done=done,
-                        total=total,
-                        resumable=ledger is not None,
-                    )
-                if outcome.degraded and outcome.unfinished:
-                    serial_units = sum(task.size for task in outcome.unfinished)
-                    warnings.warn(
-                        f"supervised worker pool for {label} degraded after "
-                        f"repeated worker crashes; finishing the remaining "
-                        f"{serial_units} errors serially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    runner = provider(program)
-                    for task in outcome.unfinished:
-                        technique_name, batch = task.payload
-                        values = _guarded_error_values(
-                            runner,
-                            technique_name,
-                            batch,
-                            quarantine=self._quarantine,
-                            stats=stats,
-                        )
-                        on_done(task, (values, {}))
-                        serial_fallback_units += task.size
-                if outcome.quarantined:
-                    for quarantined in outcome.quarantined:
-                        values = [Outcome.CRASHED.value] * quarantined.task.size
-                        on_done(quarantined.task, (values, {}))
-        finally:
-            if ledger is not None:
-                ledger.close()
-        self.phase_seconds = phase_totals
-        self.supervision = self._supervision_summary(stats, ledger, serial_fallback_units)
-        telemetry.finished(
-            status="finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=phase_totals,
-            supervision=self.supervision,
-        )
-        if ledger is not None and total and done >= total:
-            ledger.compact(
-                [(0, total, {"outcomes": [outcomes[j].value for j in order]})]
-            )
-        return outcomes
-
-    def _run_errors_pool(
-        self,
-        program: str,
-        technique: str,
-        errors: Sequence[Tuple[int, Optional[int], int]],
-        *,
-        provider: RunnerProvider,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> List[Outcome]:
-        """Legacy blind ``Pool.imap`` dispatch (``supervised=False``)."""
-        total = len(errors)
-        if total == 0:
-            return []
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        chunk = self._error_chunk_size(total)
-        tasks = [
-            (technique, [errors[j] for j in order[start : start + chunk]])
-            for start in range(0, total, chunk)
-        ]
-        context = multiprocessing.get_context(self._start_method)
-        self._warm_provider(provider, program)
-        outcomes: List[Optional[Outcome]] = [None] * total
-        started = time.monotonic()
-        done = 0
-        label = f"{program}/{technique}/error-space"
-        phase_totals: dict = {}
-        with context.Pool(
-            processes=min(self.jobs, len(tasks)),
-            initializer=_initialise_worker,
-            initargs=(provider, program),
-        ) as pool:
-            for task_index, (batch_outcomes, batch_phases) in enumerate(
-                pool.imap(_run_worker_error_batch, tasks)
-            ):
-                positions = order[task_index * chunk : task_index * chunk + len(batch_outcomes)]
-                for position, outcome in zip(positions, batch_outcomes):
-                    outcomes[position] = outcome
-                for phase, seconds in batch_phases.items():
-                    phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-                done += len(batch_outcomes)
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=label,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-        self.phase_seconds = phase_totals
-        return outcomes
-
-    # -- planner inference --------------------------------------------------------
-
     def plan_infer_map(self, program: str, *, provider: RunnerProvider):
-        """Chunk-dispatch the planner's inference pass to supervised workers.
+        """Chunk-dispatch the planner's inference pass to the workers.
 
         Each worker builds (or cache-loads) the workload's def-use index and
         inference engine once, then maps deterministic ``(tick, slot, bit)``
@@ -1854,7 +1170,6 @@ class MultiprocessEngine(ExecutionEngine):
         registry programs are dispatchable (workers resolve the index by
         name).
         """
-
         from repro import artifacts
 
         if self._start_method != "fork" and artifacts.active_cache() is None:
@@ -1864,131 +1179,8 @@ class MultiprocessEngine(ExecutionEngine):
             return None
 
         def infer_map(errors):
-            total = len(errors)
-            if total == 0:
-                return []
-            triples = [
-                (error.dynamic_index, error.slot, error.bit) for error in errors
-            ]
-            chunk = max(1024, min(16384, -(-total // (self.jobs * 4))))
-            self._warm_provider(provider, program)
-            # Make sure workers can load the def-use index from the cache
-            # instead of replaying the golden trace per process.
-            if artifacts.active_cache() is not None:
-                from repro.programs.registry import get_defuse_index
-
-                get_defuse_index(program)
-            context = multiprocessing.get_context(self._start_method)
-            if not self._supervised:
-                outcomes: List[Optional[Outcome]] = []
-                with context.Pool(
-                    processes=min(self.jobs, -(-total // chunk)),
-                    initializer=_initialise_infer_worker,
-                    initargs=(provider, program),
-                ) as pool:
-                    for batch in pool.imap(
-                        _run_worker_infer_batch,
-                        [triples[start : start + chunk] for start in range(0, total, chunk)],
-                    ):
-                        outcomes.extend(batch)
-                return outcomes
-            tasks = [
-                ChunkTask(
-                    start,
-                    _infer_chunk,
-                    triples[start : start + chunk],
-                    min(chunk, total - start),
-                )
-                for start in range(0, total, chunk)
-            ]
-            chunks: Dict[int, List[Optional[Outcome]]] = {}
-            outcome = self._dispatch(
-                kind="infer",
-                program=program,
-                provider=provider,
-                initializer=_initialise_supervised_inference,
-                tasks=tasks,
-                split=_split_infer_task,
-                on_chunk_done=lambda task, body: chunks.__setitem__(task.chunk_id, body),
-            )
-            if outcome.interrupted and (outcome.unfinished or outcome.quarantined):
-                raise CampaignInterrupted(
-                    f"{program} inference pass interrupted "
-                    f"({len(chunks)}/{len(tasks)} chunks done); planning has no "
-                    f"ledger — re-run to restart the pass",
-                    done=sum(len(body) for body in chunks.values()),
-                    total=total,
-                    resumable=False,
-                )
-            for quarantined in outcome.quarantined:
-                # Unprovable by crashing worker: let the planner execute them.
-                chunks[quarantined.task.chunk_id] = [None] * quarantined.task.size
-            if outcome.degraded and outcome.unfinished:
-                warnings.warn(
-                    f"supervised inference pool for {program} degraded after "
-                    f"repeated worker crashes; finishing inference in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                engine = _initialise_supervised_inference(provider, program)
-                for task in outcome.unfinished:
-                    chunks[task.chunk_id] = _infer_chunk(engine, task.payload)
-            assembled: List[Optional[Outcome]] = []
-            for start in sorted(chunks):
-                assembled.extend(chunks[start])
-            return assembled
+            triples = [(error.dynamic_index, error.slot, error.bit) for error in errors]
+            chunk = max(1024, min(16384, -(-len(triples) // (self.jobs * 4))))
+            return self.run_job(infer_job(program, triples, chunk=chunk), provider=provider)
 
         return infer_map
-
-
-# -- legacy pool worker plumbing ----------------------------------------------------
-#
-# Used by the ``supervised=False`` escape hatch (and the overhead benchmark).
-# Workers are initialised once per process: the provider compiles the
-# workload, decodes it into executable form and profiles the golden trace,
-# then every batch reuses all three.  Module-level state is required because
-# multiprocessing initialisers cannot return values.
-
-_WORKER_RUNNER: Optional[ExperimentRunner] = None
-
-
-def _initialise_worker(provider: Optional[RunnerProvider], program_name: str) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = (provider or registry_provider)(program_name)
-
-
-def _run_worker_batch(
-    task: Tuple[CampaignConfig, int, int, int, bool]
-) -> CampaignResult:
-    config, resolved_win_size, start, count, keep_records = task
-    assert _WORKER_RUNNER is not None, "worker pool was not initialised"
-    return run_experiment_batch(
-        _WORKER_RUNNER, config, resolved_win_size, start, count, keep_records=keep_records
-    )
-
-
-def _run_worker_error_batch(
-    task: Tuple[str, List[Tuple[int, Optional[int], int]]]
-) -> Tuple[List[Outcome], dict]:
-    technique, errors = task
-    assert _WORKER_RUNNER is not None, "worker pool was not initialised"
-    phase_before = _phase_snapshot(_WORKER_RUNNER)
-    outcomes = run_error_batch(_WORKER_RUNNER, technique, errors)
-    return outcomes, _phase_delta(_WORKER_RUNNER, phase_before)
-
-
-_WORKER_INFERENCE = None
-
-
-def _initialise_infer_worker(provider, program_name: str) -> None:
-    """Build (or cache-load) the def-use index + inference engine once."""
-    global _WORKER_INFERENCE
-    _WORKER_INFERENCE = _initialise_supervised_inference(provider, program_name)
-
-
-def _run_worker_infer_batch(
-    errors: List[Tuple[int, Optional[int], int]]
-) -> List[Optional[Outcome]]:
-    engine = _WORKER_INFERENCE
-    assert engine is not None, "inference worker pool was not initialised"
-    return _infer_chunk(engine, errors)

@@ -88,6 +88,11 @@ class ExhaustiveCampaignResult:
     #: Distinguishes otherwise-identical modes run with different parameters
     #: (budget/seed/validation fraction); empty for parameter-free runs.
     variant: str = ""
+    #: Per-phase wall-clock seconds summed over every engine call of the run
+    #: (representatives and validation re-runs alike).  Observability only,
+    #: like :attr:`CampaignResult.phase_seconds`: never serialized, and
+    #: empty when the result came from the store.
+    phase_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def campaign_id(self) -> str:

@@ -107,7 +107,7 @@ class CampaignRunner:
         checkpoint_every: int = 1,
         on_result: Optional[ResultCallback] = None,
     ) -> ResultStore:
-        """Run many campaigns, reusing any results already in ``store``.
+        """Run many campaigns, reusing results of the same configs in ``store``.
 
         When ``checkpoint_path`` is given, the store is persisted to disk
         after every ``checkpoint_every`` freshly completed campaigns, so a
@@ -120,7 +120,10 @@ class CampaignRunner:
         checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
         completed_since_checkpoint = 0
         for config in configs:
-            if skip_existing and config in store:
+            # The store is keyed by campaign id, which leaves out the
+            # experiment count and master seed: reuse only an exact match and
+            # replace a stored result of a different configuration.
+            if skip_existing and config in store and store.get(config).config == config:
                 continue
             result = self.run_campaign(config)
             store.add(result)

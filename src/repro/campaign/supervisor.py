@@ -1,140 +1,47 @@
-"""Supervised chunk dispatch over raw worker processes.
+"""The worker-process executor: supervised chunk dispatch over raw processes.
 
 ``multiprocessing.Pool`` cannot survive a worker that dies mid-task: the
 pool respawns the process but the task it was holding is silently lost and
-``imap`` blocks forever.  This module replaces the pool for campaign
-execution with an explicitly supervised crew of worker processes:
+``imap`` blocks forever.  :class:`ChunkSupervisor` replaces it with an
+explicitly supervised crew of worker processes under the shared
+:class:`~repro.campaign.dispatch.Scheduler` (retries, backoff, deadlines,
+bisection, quarantine):
 
 * each worker owns one duplex pipe; the parent closes the child end after
   the fork, so a dead worker reads as EOF instead of a hang;
-* every chunk carries a deadline derived from observed per-unit throughput
-  (or an explicit ``chunk_timeout``), so a *wedged* worker is detected and
-  killed, not just a dead one;
-* failed chunks are retried with capped exponential backoff; chunks that
-  keep killing workers are bisected down to the offending experiment, which
-  is quarantined (reported to the caller, recorded upstream with the
-  ``crashed`` outcome) instead of poisoning the run;
-* SIGINT/SIGTERM stop further grants, drain in-flight chunks and return
-  with ``interrupted`` set so the engine can flush its ledger and print
-  resume instructions; a second signal aborts immediately;
+* a worker past its chunk deadline is wedged: it is killed, like a dead one;
 * a burst of consecutive worker crashes marks the run ``degraded`` — the
-  engine then finishes the remaining chunks serially in-process rather
-  than dying.
+  engine then finishes the remaining chunks in-process rather than dying.
 
-Determinism is preserved because chunks are location-independent: results
-are keyed by chunk start index and merged in index order, so retries,
-bisection and out-of-order completion cannot change the assembled bytes.
-
-Chaos knobs (read in the *worker*, for tests and the CI resilience smoke):
+Chaos knob (read in the *worker*, for tests and the CI resilience smoke):
 
 ``REPRO_CHAOS_KILL_NTH_CHUNK``
     Every worker SIGKILLs itself upon receiving its *n*-th chunk.  ``n=1``
-    means no worker ever completes a chunk — the supervisor must degrade to
-    serial execution and still finish the campaign.
-
-``REPRO_CHAOS_ABORT_AFTER_CHUNKS``
-    Parent-side: behave as if SIGINT arrived after *n* chunks completed
-    (deterministic interrupt for resume tests).
+    means no worker ever completes a chunk — the supervisor must degrade and
+    the engine still finish the campaign.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import CampaignExecutionError
+from repro.campaign.dispatch import (
+    ChunkTask,
+    DeadlineModel,
+    DispatchRequest,
+    DispatchTransport,
+    Scheduler,
+    SupervisedRun,
+)
 from repro.telemetry import metrics as telemetry_metrics
 
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_NTH_CHUNK"
-CHAOS_ABORT_ENV = "REPRO_CHAOS_ABORT_AFTER_CHUNKS"
-
-
-@dataclass
-class ChunkTask:
-    """One retryable unit of campaign work.
-
-    ``chunk_id`` is the chunk's start offset in the campaign's index space —
-    it doubles as the merge key, so bisected children (which inherit their
-    own start offsets) slot into the same ordering as original grants.
-    ``fn`` must be a module-level callable ``fn(state, payload)`` (it crosses
-    the pipe by pickle); ``state`` is whatever the initializer returned.
-    """
-
-    chunk_id: int
-    fn: Callable[[Any, Any], Any]
-    payload: Any
-    size: int
-    meta: Any = None
-    attempts: int = 0
-    not_before: float = 0.0
-
-
-@dataclass
-class QuarantinedChunk:
-    """A chunk (bisected to minimal size) that exhausted its retries."""
-
-    task: ChunkTask
-    error: str
-
-
-@dataclass
-class SupervisorStats:
-    """Counters surfaced in campaign summaries (``phase_seconds`` style)."""
-
-    retries: int = 0
-    worker_restarts: int = 0
-    timeouts: int = 0
-    bisections: int = 0
-    quarantined_units: int = 0
-    chunks_completed: int = 0
-    degraded: bool = False
-    interrupted: bool = False
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "retries": self.retries,
-            "worker_restarts": self.worker_restarts,
-            "timeouts": self.timeouts,
-            "bisections": self.bisections,
-            "quarantined_units": self.quarantined_units,
-            "chunks_completed": self.chunks_completed,
-            "degraded": self.degraded,
-            "interrupted": self.interrupted,
-        }
-
-    def merge(self, other: "SupervisorStats") -> None:
-        self.retries += other.retries
-        self.worker_restarts += other.worker_restarts
-        self.timeouts += other.timeouts
-        self.bisections += other.bisections
-        self.quarantined_units += other.quarantined_units
-        self.chunks_completed += other.chunks_completed
-        self.degraded = self.degraded or other.degraded
-        self.interrupted = self.interrupted or other.interrupted
-
-
-@dataclass
-class SupervisedRun:
-    """Everything a supervised dispatch produced."""
-
-    results: Dict[int, Any] = field(default_factory=dict)
-    quarantined: List[QuarantinedChunk] = field(default_factory=list)
-    unfinished: List[ChunkTask] = field(default_factory=list)
-    stats: SupervisorStats = field(default_factory=SupervisorStats)
-
-    @property
-    def interrupted(self) -> bool:
-        return self.stats.interrupted
-
-    @property
-    def degraded(self) -> bool:
-        return self.stats.degraded
 
 
 # -- worker side -------------------------------------------------------------------
@@ -215,37 +122,6 @@ class _Worker:
         self.deadline = 0.0
 
 
-class _SignalGuard:
-    """Graceful-stop flag driven by SIGINT/SIGTERM (main thread only)."""
-
-    def __init__(self) -> None:
-        self.stop_requested = False
-        self._previous: List[Tuple[int, Any]] = []
-
-    def install(self) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            return
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._previous.append((signum, signal.signal(signum, self._handle)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    def _handle(self, signum, frame) -> None:
-        if self.stop_requested:
-            # Second signal: the user really means it.
-            raise KeyboardInterrupt
-        self.stop_requested = True
-
-    def restore(self) -> None:
-        for signum, handler in self._previous:
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        self._previous = []
-
-
 class ChunkSupervisor:
     """Dispatches :class:`ChunkTask` batches to supervised worker processes.
 
@@ -282,15 +158,48 @@ class ChunkSupervisor:
         self.quarantine = quarantine
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.deadline_factor = deadline_factor
-        self.deadline_floor = deadline_floor
-        self.initial_deadline = initial_deadline
+        self.deadlines = DeadlineModel(deadline_factor, deadline_floor, initial_deadline)
         self.max_consecutive_crashes = (
             max_consecutive_crashes
             if max_consecutive_crashes is not None
             else max(6, 2 * self.jobs)
         )
-        self._unit_seconds: Optional[float] = None
+        self._workers: List[_Worker] = []
+        self._consecutive_crashes = 0
+
+    @classmethod
+    def for_request(cls, request: DispatchRequest) -> "ChunkSupervisor":
+        """A crew sized for ``request``; the scheduler carries its knobs."""
+        return cls(
+            jobs=min(request.jobs, max(1, len(request.tasks))),
+            context=multiprocessing.get_context(request.start_method),
+            initializer=request.initializer,
+            initargs=request.initargs,
+        )
+
+    def run(
+        self,
+        tasks: Sequence[ChunkTask],
+        *,
+        split: Optional[Callable[[ChunkTask], List[ChunkTask]]] = None,
+        on_chunk_done=None,
+        on_grant=None,
+        on_event=None,
+    ) -> SupervisedRun:
+        scheduler = Scheduler(
+            tasks,
+            split=split,
+            max_retries=self.max_retries,
+            quarantine=self.quarantine,
+            chunk_timeout=self.chunk_timeout,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+            deadlines=self.deadlines,
+            on_chunk_done=on_chunk_done,
+            on_grant=on_grant,
+            on_event=on_event,
+        )
+        return scheduler.run(self)
 
     # -- lifecycle helpers --------------------------------------------------------
 
@@ -320,236 +229,125 @@ class ChunkSupervisor:
             worker.process.kill()
             worker.process.join(timeout=1.0)
 
-    def _deadline(self, task: ChunkTask, now: float) -> float:
-        if self.chunk_timeout is not None:
-            return now + self.chunk_timeout
-        if self._unit_seconds is None:
-            return now + self.initial_deadline
-        expected = self._unit_seconds * max(1, task.size)
-        return now + max(self.deadline_floor, self.deadline_factor * expected)
+    def _crash(self, scheduler: Scheduler, worker: _Worker, reason: str, now: float) -> None:
+        scheduler.stats.worker_restarts += 1
+        task, worker.task = worker.task, None
+        self._workers.remove(worker)
+        self._dispose(worker, kill=True)
+        scheduler.emit("worker_restart", reason=reason.strip()[-200:])
+        if task is not None:
+            self._consecutive_crashes += 1
+            if self._consecutive_crashes >= self.max_consecutive_crashes:
+                scheduler.stats.degraded = True
+            scheduler.fail(task, reason, now)
 
-    def _observe(self, task: ChunkTask, elapsed: float) -> None:
-        sample = max(1e-6, elapsed / max(1, task.size))
-        if self._unit_seconds is None:
-            self._unit_seconds = sample
-        else:
-            self._unit_seconds += 0.3 * (sample - self._unit_seconds)
+    # -- the executor protocol ----------------------------------------------------
 
-    # -- the dispatch loop --------------------------------------------------------
+    def busy(self) -> bool:
+        return any(worker.task is not None for worker in self._workers)
 
-    def run(
-        self,
-        tasks: Sequence[ChunkTask],
-        *,
-        split: Optional[Callable[[ChunkTask], List[ChunkTask]]] = None,
-        on_chunk_done: Optional[Callable[[ChunkTask, Any], None]] = None,
-        on_grant: Optional[Callable[[ChunkTask], None]] = None,
-        on_event: Optional[Callable[..., None]] = None,
-    ) -> SupervisedRun:
-        run = SupervisedRun()
-        pending: List[ChunkTask] = sorted(tasks, key=lambda t: t.chunk_id)
-        if not pending:
-            return run
-        stats = run.stats
-        workers: List[_Worker] = []
-        consecutive_crashes = 0
-        try:
-            abort_after = int(os.environ.get(CHAOS_ABORT_ENV, "0") or 0)
-        except ValueError:
-            abort_after = 0
-        guard = _SignalGuard()
-        guard.install()
-
-        def emit(event_type: str, **fields) -> None:
-            # Observability must never take the dispatch loop down with it.
-            if on_event is None:
-                return
-            try:
-                on_event(event_type, **fields)
-            except Exception:
-                pass
-
-        def fail(task: ChunkTask, error: str, now: float, *, crashed: bool) -> None:
-            nonlocal consecutive_crashes
-            if crashed:
-                consecutive_crashes += 1
-                if consecutive_crashes >= self.max_consecutive_crashes:
-                    stats.degraded = True
-            task.attempts += 1
-            if task.attempts <= self.max_retries:
-                stats.retries += 1
-                delay = min(
-                    self.backoff_cap, self.backoff_base * (2 ** (task.attempts - 1))
-                )
-                task.not_before = now + delay
-                pending.append(task)
-                emit(
-                    "chunk_retried",
-                    chunk=task.chunk_id,
-                    count=task.size,
-                    attempts=task.attempts,
-                )
-            elif task.size > 1 and split is not None:
-                stats.bisections += 1
-                emit("chunk_bisected", chunk=task.chunk_id, count=task.size)
-                for child in split(task):
-                    child.attempts = 0
-                    child.not_before = now
-                    pending.append(child)
-            elif self.quarantine:
-                stats.quarantined_units += task.size
-                run.quarantined.append(QuarantinedChunk(task, error))
-                emit(
-                    "quarantine",
-                    chunk=task.chunk_id,
-                    units=task.size,
-                    reason=error.strip()[-200:],
-                )
-            else:
-                raise CampaignExecutionError(
-                    f"chunk {task.chunk_id} (+{task.size}) failed "
-                    f"{task.attempts} times and quarantine is disabled:\n{error}"
-                )
-
-        def handle_crash(worker: _Worker, reason: str, now: float) -> None:
-            stats.worker_restarts += 1
-            task = worker.task
-            worker.task = None
-            workers.remove(worker)
-            self._dispose(worker, kill=True)
-            emit("worker_restart", reason=reason.strip()[-200:])
-            if task is not None:
-                fail(task, reason, now, crashed=True)
-
-        try:
-            while True:
-                in_flight = [w for w in workers if w.task is not None]
-                if stats.degraded:
-                    break
-                if not pending and not in_flight:
-                    break
-                if guard.stop_requested:
-                    stats.interrupted = True
-                    if not in_flight:
+    def step(self, scheduler: Scheduler) -> None:
+        now = time.monotonic()
+        # Grant work to idle (or freshly spawned) workers.
+        if not scheduler.stopping:
+            for task in scheduler.eligible(now):
+                worker = next((w for w in self._workers if w.task is None), None)
+                if worker is None:
+                    if len(self._workers) >= self.jobs:
                         break
-                now = time.monotonic()
-
-                # Grant work to idle (or freshly spawned) workers.
-                if not guard.stop_requested:
-                    eligible = sorted(
-                        (t for t in pending if t.not_before <= now),
-                        key=lambda t: t.chunk_id,
-                    )
-                    for task in eligible:
-                        worker = next((w for w in workers if w.task is None), None)
-                        if worker is None:
-                            if len(workers) >= self.jobs:
-                                break
-                            worker = self._spawn()
-                            workers.append(worker)
-                        try:
-                            worker.conn.send((task.fn, task.chunk_id, task.payload))
-                        except (BrokenPipeError, OSError):
-                            pending.remove(task)
-                            worker.task = task
-                            handle_crash(worker, "worker pipe closed on send", now)
-                            continue
-                        pending.remove(task)
-                        worker.task = task
-                        worker.sent_at = now
-                        worker.deadline = self._deadline(task, now)
-                        if on_grant is not None and task.attempts == 0:
-                            on_grant(task)
-
-                # Wait for replies, deaths, deadlines or backoff expiry.
-                timeout = 0.5
-                for worker in workers:
-                    if worker.task is not None:
-                        timeout = min(timeout, max(0.0, worker.deadline - now))
-                for task in pending:
-                    if task.not_before > now:
-                        timeout = min(timeout, max(0.0, task.not_before - now))
-                conns = [w.conn for w in workers]
-                if conns:
-                    ready = _connection_wait(conns, timeout)
-                else:
-                    if timeout > 0:
-                        time.sleep(min(timeout, 0.05))
-                    ready = []
-
-                now = time.monotonic()
-                for conn in ready:
-                    worker = next((w for w in workers if w.conn is conn), None)
-                    if worker is None:
-                        continue
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        handle_crash(worker, "worker process died", now)
-                        continue
-                    kind, chunk_id, body, worker_metrics = message
-                    if kind == "ok":
-                        task = worker.task
-                        worker.task = None
-                        if task is None or task.chunk_id != chunk_id:
-                            continue  # stale reply from a superseded grant
-                        consecutive_crashes = 0
-                        if worker_metrics:
-                            # Fold the worker's per-chunk metric delta into
-                            # the parent registry, next to the partial
-                            # result it travelled with.
-                            telemetry_metrics.registry().merge(worker_metrics)
-                        self._observe(task, now - worker.sent_at)
-                        run.results[task.chunk_id] = body
-                        stats.chunks_completed += 1
-                        if on_chunk_done is not None:
-                            on_chunk_done(task, body)
-                        if (
-                            abort_after
-                            and stats.chunks_completed >= abort_after
-                            and not guard.stop_requested
-                        ):
-                            guard.stop_requested = True
-                    elif kind == "error":
-                        task = worker.task
-                        worker.task = None
-                        if task is not None and task.chunk_id == chunk_id:
-                            consecutive_crashes = 0  # the worker survived
-                            fail(task, body, now, crashed=False)
-                    else:  # "init-error": the worker never became usable
-                        handle_crash(worker, f"worker failed to initialise:\n{body}", now)
-
-                # Deadline sweep: a worker past its chunk deadline is wedged.
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.task is not None and now > worker.deadline:
-                        stats.timeouts += 1
-                        emit(
-                            "chunk_timeout",
-                            chunk=worker.task.chunk_id,
-                            count=worker.task.size,
-                            deadline_seconds=round(
-                                worker.deadline - worker.sent_at, 3
-                            ),
-                        )
-                        handle_crash(
-                            worker,
-                            f"chunk {worker.task.chunk_id} exceeded its "
-                            f"{worker.deadline - worker.sent_at:.1f}s deadline",
-                            now,
-                        )
-        finally:
-            guard.restore()
-            for worker in list(workers):
-                if worker.task is not None:
-                    run.unfinished.append(worker.task)
-                    worker.task = None
+                    worker = self._spawn()
+                    self._workers.append(worker)
+                scheduler.grant(task)
+                worker.task = task
                 try:
-                    worker.conn.send(None)
+                    worker.conn.send((task.fn, task.chunk_id, task.payload))
                 except (BrokenPipeError, OSError):
-                    pass
-                self._dispose(worker, kill=True)
-            workers.clear()
-        run.unfinished.extend(pending)
-        run.unfinished.sort(key=lambda t: t.chunk_id)
-        return run
+                    self._crash(scheduler, worker, "worker pipe closed on send", now)
+                    continue
+                worker.sent_at = now
+                worker.deadline = scheduler.deadline(task, now)
+
+        # Wait for replies, deaths, deadlines or backoff expiry.
+        timeout = 0.5
+        for worker in self._workers:
+            if worker.task is not None:
+                timeout = min(timeout, max(0.0, worker.deadline - now))
+        for task in scheduler.pending:
+            if task.not_before > now:
+                timeout = min(timeout, task.not_before - now)
+        conns = [w.conn for w in self._workers]
+        if conns:
+            ready = _connection_wait(conns, timeout)
+        else:
+            if timeout > 0:
+                time.sleep(min(timeout, 0.05))
+            ready = []
+
+        now = time.monotonic()
+        for conn in ready:
+            worker = next((w for w in self._workers if w.conn is conn), None)
+            if worker is None:
+                continue
+            try:
+                kind, chunk_id, body, worker_metrics = conn.recv()
+            except (EOFError, OSError):
+                self._crash(scheduler, worker, "worker process died", now)
+                continue
+            if kind == "init-error":  # the worker never became usable
+                self._crash(scheduler, worker, f"worker failed to initialise:\n{body}", now)
+                continue
+            task, worker.task = worker.task, None
+            if task is None or task.chunk_id != chunk_id:
+                continue  # stale reply from a superseded grant
+            self._consecutive_crashes = 0  # the worker survived
+            if kind == "ok":
+                if worker_metrics:
+                    # Fold the worker's per-chunk metric delta into the parent
+                    # registry, next to the partial result it travelled with.
+                    telemetry_metrics.registry().merge(worker_metrics)
+                scheduler.complete(task, body, now - worker.sent_at)
+            else:
+                scheduler.fail(task, body, now)
+
+        # Deadline sweep: a worker past its chunk deadline is wedged.
+        now = time.monotonic()
+        for worker in list(self._workers):
+            if worker.task is not None and now > worker.deadline:
+                allowance = worker.deadline - worker.sent_at
+                scheduler.stats.timeouts += 1
+                scheduler.emit(
+                    "chunk_timeout",
+                    chunk=worker.task.chunk_id,
+                    count=worker.task.size,
+                    deadline_seconds=round(allowance, 3),
+                )
+                self._crash(
+                    scheduler,
+                    worker,
+                    f"chunk {worker.task.chunk_id} exceeded its {allowance:.1f}s deadline",
+                    now,
+                )
+
+    def shutdown(self, scheduler: Scheduler) -> List[ChunkTask]:
+        in_flight = []
+        for worker in self._workers:
+            if worker.task is not None:
+                in_flight.append(worker.task)
+                worker.task = None
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+            self._dispose(worker, kill=True)
+        self._workers = []
+        self._consecutive_crashes = 0
+        return in_flight
+
+
+class SupervisedPoolTransport(DispatchTransport):
+    """The local dispatch path: a supervised process pool on this host."""
+
+    name = "multiprocess"
+
+    def execute(self, request: DispatchRequest) -> SupervisedRun:
+        return Scheduler.for_request(request).run(ChunkSupervisor.for_request(request))

@@ -861,8 +861,8 @@ def _run_exhaustive(args: argparse.Namespace) -> str:
     ]
     lines.extend(
         _phase_lines(
-            getattr(session.engine, "phase_seconds", {}) or {},
-            result.executed_experiments,
+            result.phase_seconds,
+            result.executed_experiments + result.validation_sampled,
             label="  ",
         )
     )

@@ -1,29 +1,31 @@
 """Fault-tolerant lease coordinator: the multi-host dispatch transport.
 
 :class:`CoordinatorTransport` implements the engine's
-:class:`~repro.campaign.engine.DispatchTransport` seam over a TCP listener.
+:class:`~repro.campaign.dispatch.DispatchTransport` seam over a TCP listener.
 Worker-host agents (:mod:`repro.dist.worker`) connect, announce their
 capacity, and *pull* work: the coordinator grants deterministic, tick-sorted
 chunk ranges under expiring leases and records completions through the
 engine's callbacks — which fsync the same write-ahead chunk ledger the local
 path uses, so coordinator crash recovery is plain ``--resume``.
 
-Robustness model (mirrors the single-host supervisor, host-granular):
+The coordinator is the remote-lease executor under the shared
+:class:`~repro.campaign.dispatch.Scheduler`, which owns the queue, retries,
+backoff, EWMA deadlines, bisection and quarantine; this module adds only the
+sockets, leases, heartbeats and placement:
 
 * a **lease** is one chunk granted to one host; it expires when the host
   stops heartbeating (soft TTL) or blows its execution deadline (hard
-  deadline, EWMA-derived like the supervisor's), and the chunk is re-issued
-  — preferring a different host;
-* a host that disconnects, dies or partitions has all its leases re-issued
-  with the supervisor's retry/bisect/quarantine escalation;
+  deadline), and the chunk is re-issued — preferring a different host;
+* a host that disconnects, dies or partitions has all its leases failed
+  back to the scheduler (retry, bisect, quarantine);
 * duplicate completions (a re-issued chunk finishing twice) resolve
   first-recorded-wins: the ledger fsync inside ``on_chunk_done`` is the
   authority, later arrivals are dropped as ``duplicate_completion`` events;
 * hosts may join or rejoin mid-run and are granted work immediately;
 * if no host is serving and nothing is in flight for
-  ``local_fallback_after`` seconds, the remaining chunks run on an
-  in-process :class:`~repro.campaign.engine.SupervisedPoolTransport` —
-  a coordinator with no cluster degrades to the ordinary local engine;
+  ``local_fallback_after`` seconds, the remaining chunks run on a local
+  :class:`~repro.campaign.supervisor.ChunkSupervisor` pool — a coordinator
+  with no cluster degrades to the ordinary local engine;
 * SIGINT/SIGTERM stop granting, drain in-flight leases, tell connected
   hosts to stand down, and return with ``interrupted`` set so the engine
   raises :class:`~repro.errors.CampaignInterrupted` (the CLI then prints
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import queue
 import socket
 import threading
@@ -46,18 +47,15 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.engine import (
+from repro.campaign.dispatch import (
+    ChunkTask,
+    DeadlineModel,
     DispatchRequest,
     DispatchTransport,
-    SupervisedPoolTransport,
-)
-from repro.campaign.supervisor import (
-    CHAOS_ABORT_ENV,
-    ChunkTask,
-    QuarantinedChunk,
+    Scheduler,
     SupervisedRun,
-    _SignalGuard,
 )
+from repro.campaign.supervisor import ChunkSupervisor
 from repro.dist.protocol import (
     MSG_DONE,
     MSG_FAIL,
@@ -74,7 +72,6 @@ from repro.dist.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.errors import CampaignExecutionError
 from repro.telemetry import metrics as telemetry_metrics
 
 
@@ -172,10 +169,8 @@ class CoordinatorTransport(DispatchTransport):
         self.local_fallback_after = local_fallback_after
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
-        self._deadline_factor = deadline_factor
-        self._deadline_floor = deadline_floor
-        self._initial_deadline = initial_deadline
-        self._unit_seconds: Optional[float] = None
+        #: Persists across rounds: later rounds start from observed speed.
+        self._deadlines = DeadlineModel(deadline_factor, deadline_floor, initial_deadline)
         self._events: "queue.Queue" = queue.Queue()
         self._hosts: Dict[int, _Host] = {}
         self._hosts_lock = threading.Lock()
@@ -270,377 +265,234 @@ class CoordinatorTransport(DispatchTransport):
         except OSError:
             pass
 
-    # -- deadline model (same EWMA discipline as the supervisor) -------------------
-
-    def _deadline(self, request: DispatchRequest, task: ChunkTask, now: float, batch: int) -> float:
-        if request.chunk_timeout is not None:
-            return now + request.chunk_timeout
-        if self._unit_seconds is None:
-            return now + self._initial_deadline
-        # Worst case the host runs its whole grant batch sequentially before
-        # this lease; scale the allowance so parallel agents are never
-        # punished for honest queueing.
-        expected = self._unit_seconds * max(1, task.size) * max(1, batch)
-        return now + max(self._deadline_floor, self._deadline_factor * expected)
-
-    def _observe(self, lease: _Lease, now: float) -> None:
-        sample = max(1e-6, (now - lease.granted_at) / max(1, lease.task.size))
-        if self._unit_seconds is None:
-            self._unit_seconds = sample
-        else:
-            self._unit_seconds += 0.3 * (sample - self._unit_seconds)
-
-    # -- the dispatch round --------------------------------------------------------
+    # -- the lease executor (one dispatch round) ------------------------------------
 
     def execute(self, request: DispatchRequest) -> SupervisedRun:
+        # Per-round lease state; the listener and connected hosts persist.
         self._round += 1
-        run = SupervisedRun()
-        stats = run.stats
-        pending: List[ChunkTask] = sorted(request.tasks, key=lambda t: t.chunk_id)
-        leases: Dict[int, _Lease] = {}
-        completed: set = set()
+        self._request = request
+        self._leases: Dict[int, _Lease] = {}
         #: chunk_id -> host_id of the last host that failed it (for re-issue
         #: placement: prefer a different host when one exists).
-        last_failed: Dict[int, int] = {}
-        started = time.monotonic()
-        last_activity = started
+        self._last_failed: Dict[int, int] = {}
+        self._last_activity = time.monotonic()
+        self._local: Optional[ChunkSupervisor] = None
+        self._active = True
+        scheduler = Scheduler.for_request(
+            request,
+            backoff_base=self._backoff_base,
+            backoff_cap=self._backoff_cap,
+            deadlines=self._deadlines,
+        )
+        return scheduler.run(self)
+
+    def busy(self) -> bool:
+        if self._local is not None:
+            return self._local.busy()
+        return bool(self._leases)
+
+    def step(self, scheduler: Scheduler) -> None:
+        if self._local is not None:
+            self._local.step(scheduler)
+            return
         try:
-            abort_after = int(os.environ.get(CHAOS_ABORT_ENV, "0") or 0)
-        except ValueError:
-            abort_after = 0
-        guard = _SignalGuard()
-        guard.install()
-
-        def emit(event_type: str, **fields) -> None:
-            if request.on_event is None:
-                return
+            event = self._events.get(timeout=0.1)
+        except queue.Empty:
+            event = None
+        while event is not None:
+            self._handle(scheduler, event, time.monotonic())
             try:
-                request.on_event(event_type, **fields)
-            except Exception:
-                pass
+                event = self._events.get_nowait()
+            except queue.Empty:
+                event = None
+        now = time.monotonic()
 
-        def requeue(task: ChunkTask) -> None:
-            # Keep pending sorted by chunk offset so re-issued work goes back
-            # out ahead of untouched higher offsets rather than at the tail.
-            pending.append(task)
-            pending.sort(key=lambda t: t.chunk_id)
-
-        def fail(task: ChunkTask, error: str, now: float) -> None:
-            task.attempts += 1
-            if task.attempts <= request.max_retries:
-                stats.retries += 1
-                delay = min(
-                    self._backoff_cap,
-                    self._backoff_base * (2 ** (task.attempts - 1)),
-                )
-                task.not_before = now + delay
-                requeue(task)
-                emit(
-                    "chunk_retried",
-                    chunk=task.chunk_id,
-                    count=task.size,
-                    attempts=task.attempts,
-                )
-            elif task.size > 1 and request.split is not None:
-                stats.bisections += 1
-                emit("chunk_bisected", chunk=task.chunk_id, count=task.size)
-                for child in request.split(task):
-                    child.attempts = 0
-                    child.not_before = now
-                    requeue(child)
-            elif request.quarantine:
-                stats.quarantined_units += task.size
-                run.quarantined.append(QuarantinedChunk(task, error))
-                emit(
-                    "quarantine",
-                    chunk=task.chunk_id,
-                    units=task.size,
-                    reason=error.strip()[-200:],
-                )
-            else:
-                raise CampaignExecutionError(
-                    f"chunk {task.chunk_id} (+{task.size}) failed "
-                    f"{task.attempts} times across hosts and quarantine is "
-                    f"disabled:\n{error}"
-                )
-
-        def revoke_host_leases(host: _Host, reason: str, now: float) -> None:
-            for lease in list(host.leases.values()):
-                host.leases.pop(lease.lease_id, None)
-                leases.pop(lease.lease_id, None)
-                last_failed[lease.task.chunk_id] = host.host_id
-                fail(lease.task, reason, now)
-
-        def accept_done(host: _Host, message: dict, now: float) -> None:
-            nonlocal last_activity
-            chunk_id = message.get("chunk")
-            lease = leases.pop(message.get("lease"), None)
-            if lease is not None:
-                lease.host.leases.pop(lease.lease_id, None)
-            if chunk_id in completed:
-                # The chunk was re-issued and another execution already
-                # fsync'd its ledger record: first wins, this one is noise.
-                self.stats.duplicate_completions += 1
-                emit("duplicate_completion", chunk=chunk_id, host=host.name)
-                return
-            task: Optional[ChunkTask] = None
-            if lease is not None:
-                task = lease.task
-                self._observe(lease, now)
-            else:
-                # The lease expired (or its host was severed) but the work
-                # itself survived and arrived first: still first-wins.  The
-                # chunk may be queued again or leased to another host —
-                # withdraw it from wherever it lives.
-                task = next(
-                    (t for t in pending if t.chunk_id == chunk_id), None
-                )
-                if task is not None:
-                    pending.remove(task)
-                else:
-                    other = next(
-                        (
-                            l
-                            for l in leases.values()
-                            if l.task.chunk_id == chunk_id
-                        ),
-                        None,
-                    )
-                    if other is not None:
-                        leases.pop(other.lease_id, None)
-                        other.host.leases.pop(other.lease_id, None)
-                        task = other.task
-            if task is None:
-                self.stats.duplicate_completions += 1
-                emit("duplicate_completion", chunk=chunk_id, host=host.name)
-                return
-            metrics_delta = message.get("metrics")
-            if metrics_delta:
-                telemetry_metrics.registry().merge(metrics_delta)
-            completed.add(chunk_id)
-            run.results[chunk_id] = message.get("body")
-            stats.chunks_completed += 1
-            last_activity = now
-            if request.on_chunk_done is not None:
-                request.on_chunk_done(task, message.get("body"))
-            if (
-                abort_after
-                and stats.chunks_completed >= abort_after
-                and not guard.stop_requested
-            ):
-                guard.stop_requested = True
-
-        def grant(host: _Host, now: float) -> None:
-            nonlocal last_activity
-            if guard.stop_requested:
-                host.send(
-                    {
-                        "type": MSG_STAND_DOWN,
-                        "final": False,
-                        "reason": "interrupted",
-                    }
-                )
-                return
-            free = host.capacity - len(host.leases)
-            if free <= 0 or not pending:
-                host.send({"type": MSG_WAIT})
-                return
-            eligible = [t for t in pending if t.not_before <= now]
-            if len(self._snapshot_hosts()) > 1:
-                preferred = [
-                    t
-                    for t in eligible
-                    if last_failed.get(t.chunk_id) != host.host_id
-                ]
-                if preferred:
-                    eligible = preferred
-            if not eligible:
-                host.send({"type": MSG_WAIT})
-                return
-            batch = eligible[:free]
-            entries = []
-            for task in batch:
-                pending.remove(task)
-                lease = _Lease(
-                    lease_id=next(self._lease_ids),
-                    task=task,
-                    host=host,
-                    granted_at=now,
-                    deadline=self._deadline(request, task, now, len(batch)),
-                )
-                leases[lease.lease_id] = lease
-                host.leases[lease.lease_id] = lease
-                self.stats.leases_granted += 1
-                entries.append(
-                    {
-                        "lease": lease.lease_id,
-                        "fn": task.fn,
-                        "chunk": task.chunk_id,
-                        "count": task.size,
-                        "payload": task.payload,
-                    }
-                )
-                emit(
-                    "lease_granted",
-                    chunk=task.chunk_id,
-                    count=task.size,
+        # Soft expiry: a host that stopped heartbeating loses all its leases
+        # (sever → its reader reports gone → chunks re-issue).
+        for host in self._snapshot_hosts():
+            if host.leases and now - host.last_seen > self.lease_ttl:
+                scheduler.stats.timeouts += 1
+                self.stats.leases_expired += len(host.leases)
+                scheduler.emit(
+                    "lease_expired",
                     host=host.name,
+                    chunks=sorted(l.task.chunk_id for l in host.leases.values()),
+                    reason="heartbeat lost",
                 )
-                if request.on_grant is not None and task.attempts == 0:
-                    request.on_grant(task)
-            last_activity = now
-            sent = host.send(
+                self._sever(host, "lease TTL exceeded")
+
+        # Hard deadline: a heartbeating host whose chunk is wedged.
+        for lease in list(self._leases.values()):
+            if now > lease.deadline:
+                scheduler.stats.timeouts += 1
+                self.stats.leases_expired += 1
+                self._revoke(lease)
+                scheduler.emit(
+                    "lease_expired",
+                    host=lease.host.name,
+                    chunks=[lease.task.chunk_id],
+                    reason="deadline exceeded",
+                )
+                scheduler.fail(
+                    lease.task, f"lease deadline exceeded on {lease.host.name}", now
+                )
+
+        # Graceful degradation: nobody is serving and nothing moved for
+        # local_fallback_after seconds — run the rest on a local pool.
+        if (
+            scheduler.pending
+            and not self._leases
+            and not scheduler.stopping
+            and not self._snapshot_hosts()
+            and now - self._last_activity >= self.local_fallback_after
+        ):
+            units = sum(t.size for t in scheduler.pending)
+            self.stats.local_fallback_units += units
+            scheduler.emit(
+                "dist_local_fallback", chunks=len(scheduler.pending), units=units
+            )
+            self._local = ChunkSupervisor.for_request(
+                dataclasses.replace(self._request, tasks=scheduler.pending)
+            )
+
+    def shutdown(self, scheduler: Scheduler) -> List[ChunkTask]:
+        self._active = False
+        if scheduler.stopping:
+            for host in self._snapshot_hosts():
+                host.send({"type": MSG_STAND_DOWN, "final": False, "reason": "interrupted"})
+        return self._local.shutdown(scheduler) if self._local is not None else []
+
+    def _revoke(self, lease: _Lease) -> None:
+        self._leases.pop(lease.lease_id, None)
+        lease.host.leases.pop(lease.lease_id, None)
+        self._last_failed[lease.task.chunk_id] = lease.host.host_id
+
+    def _handle(self, scheduler: Scheduler, event, now: float) -> None:
+        name, host, detail = event
+        if name == "join":
+            self.stats.hosts_joined += 1
+            self._last_activity = now
+            scheduler.emit("worker_joined", host=host.name, capacity=host.capacity)
+            return
+        if name == "gone":
+            self.stats.hosts_left += 1
+            if host.leases:
+                scheduler.stats.worker_restarts += 1
+            scheduler.emit("worker_left", host=host.name, reason=str(detail)[-200:])
+            for lease in list(host.leases.values()):
+                self._revoke(lease)
+                scheduler.fail(lease.task, f"host left: {detail}", now)
+            return
+        # name == "msg"
+        mtype = detail.get("type")
+        if mtype == MSG_NEXT:
+            self._grant(scheduler, host, now)
+        elif mtype == MSG_DONE:
+            self._accept_done(scheduler, host, detail, now)
+        elif mtype == MSG_FAIL:
+            lease = self._leases.get(detail.get("lease"))
+            if lease is not None:
+                self._revoke(lease)
+                scheduler.fail(
+                    lease.task, str(detail.get("error", "worker reported failure")), now
+                )
+        elif mtype == MSG_METRICS:
+            delta = detail.get("delta")
+            if delta:
+                telemetry_metrics.registry().merge(delta)
+
+    def _accept_done(self, scheduler: Scheduler, host: _Host, message: dict, now: float) -> None:
+        chunk_id = message.get("chunk")
+        lease = self._leases.pop(message.get("lease"), None)
+        if lease is not None:
+            lease.host.leases.pop(lease.lease_id, None)
+            task: Optional[ChunkTask] = lease.task
+        else:
+            # The lease expired (or its host was severed) but the work itself
+            # survived: still first-wins.  The chunk may be queued again or
+            # leased to another host — withdraw it from wherever it lives.
+            task = self._withdraw(scheduler, chunk_id, message.get("count"))
+        elapsed = now - lease.granted_at if lease is not None else None
+        if task is None or not scheduler.complete(task, message.get("body"), elapsed):
+            # Another execution already fsync'd this chunk's ledger record.
+            self.stats.duplicate_completions += 1
+            scheduler.emit("duplicate_completion", chunk=chunk_id, host=host.name)
+            return
+        metrics_delta = message.get("metrics")
+        if metrics_delta:
+            telemetry_metrics.registry().merge(metrics_delta)
+        self._last_activity = now
+
+    def _withdraw(self, scheduler: Scheduler, chunk_id, count) -> Optional[ChunkTask]:
+        # Match the size too: a bisected child shares its parent's offset.
+        for task in scheduler.pending:
+            if task.chunk_id == chunk_id and task.size == count:
+                scheduler.pending.remove(task)
+                return task
+        for lease in list(self._leases.values()):
+            if lease.task.chunk_id == chunk_id and lease.task.size == count:
+                self._leases.pop(lease.lease_id, None)
+                lease.host.leases.pop(lease.lease_id, None)
+                return lease.task
+        return None
+
+    def _grant(self, scheduler: Scheduler, host: _Host, now: float) -> None:
+        if scheduler.stopping:
+            host.send({"type": MSG_STAND_DOWN, "final": False, "reason": "interrupted"})
+            return
+        free = host.capacity - len(host.leases)
+        eligible = scheduler.eligible(now) if free > 0 else []
+        if eligible and len(self._snapshot_hosts()) > 1:
+            preferred = [
+                t for t in eligible if self._last_failed.get(t.chunk_id) != host.host_id
+            ]
+            eligible = preferred or eligible
+        if not eligible:
+            host.send({"type": MSG_WAIT})
+            return
+        batch = eligible[:free]
+        entries = []
+        for task in batch:
+            scheduler.grant(task)
+            lease = _Lease(
+                lease_id=next(self._lease_ids),
+                task=task,
+                host=host,
+                granted_at=now,
+                # Worst case the host runs its whole grant batch sequentially
+                # before this lease; scale the allowance so parallel agents
+                # are never punished for honest queueing.
+                deadline=scheduler.deadline(task, now, len(batch)),
+            )
+            self._leases[lease.lease_id] = lease
+            host.leases[lease.lease_id] = lease
+            self.stats.leases_granted += 1
+            entries.append(
                 {
-                    "type": MSG_WORK,
-                    "round": self._round,
-                    "kind": request.kind,
-                    "program": request.program,
-                    "provider": request.provider,
-                    "initializer": request.initializer,
-                    "leases": entries,
+                    "lease": lease.lease_id,
+                    "fn": task.fn,
+                    "chunk": task.chunk_id,
+                    "count": task.size,
+                    "payload": task.payload,
                 }
             )
-            if not sent:
-                self._sever(host, "send failed")
-
-        def handle_event(event, now: float) -> None:
-            nonlocal last_activity
-            name, host, detail = event
-            if name == "join":
-                self.stats.hosts_joined += 1
-                last_activity = now
-                emit(
-                    "worker_joined",
-                    host=host.name,
-                    capacity=host.capacity,
-                )
-                return
-            if name == "gone":
-                self.stats.hosts_left += 1
-                if host.leases:
-                    stats.worker_restarts += 1
-                emit("worker_left", host=host.name, reason=str(detail)[-200:])
-                revoke_host_leases(host, f"host left: {detail}", now)
-                return
-            # name == "msg"
-            mtype = detail.get("type")
-            if mtype == MSG_NEXT:
-                grant(host, now)
-            elif mtype == MSG_DONE:
-                accept_done(host, detail, now)
-            elif mtype == MSG_FAIL:
-                lease = leases.pop(detail.get("lease"), None)
-                if lease is not None:
-                    lease.host.leases.pop(lease.lease_id, None)
-                    last_failed[lease.task.chunk_id] = host.host_id
-                    fail(
-                        lease.task,
-                        str(detail.get("error", "worker reported failure")),
-                        now,
-                    )
-            elif mtype == MSG_METRICS:
-                delta = detail.get("delta")
-                if delta:
-                    telemetry_metrics.registry().merge(delta)
-
-        self._active = True
-        try:
-            while True:
-                if not pending and not leases:
-                    break
-                if guard.stop_requested:
-                    stats.interrupted = True
-                    if not leases:
-                        break
-                try:
-                    event = self._events.get(timeout=0.1)
-                except queue.Empty:
-                    event = None
-                now = time.monotonic()
-                if event is not None:
-                    handle_event(event, now)
-                    while True:
-                        try:
-                            event = self._events.get_nowait()
-                        except queue.Empty:
-                            break
-                        handle_event(event, time.monotonic())
-                now = time.monotonic()
-
-                # Soft expiry: a host that stopped heartbeating loses all its
-                # leases (sever → its reader reports gone → chunks re-issue).
-                for host in self._snapshot_hosts():
-                    if host.leases and now - host.last_seen > self.lease_ttl:
-                        stats.timeouts += 1
-                        self.stats.leases_expired += len(host.leases)
-                        emit(
-                            "lease_expired",
-                            host=host.name,
-                            chunks=sorted(
-                                l.task.chunk_id for l in host.leases.values()
-                            ),
-                            reason="heartbeat lost",
-                        )
-                        self._sever(host, "lease TTL exceeded")
-
-                # Hard deadline: a heartbeating host whose chunk is wedged.
-                for lease in list(leases.values()):
-                    if now > lease.deadline:
-                        stats.timeouts += 1
-                        self.stats.leases_expired += 1
-                        leases.pop(lease.lease_id, None)
-                        lease.host.leases.pop(lease.lease_id, None)
-                        last_failed[lease.task.chunk_id] = lease.host.host_id
-                        emit(
-                            "lease_expired",
-                            host=lease.host.name,
-                            chunks=[lease.task.chunk_id],
-                            reason="deadline exceeded",
-                        )
-                        fail(
-                            lease.task,
-                            f"lease deadline exceeded on {lease.host.name}",
-                            now,
-                        )
-
-                # Graceful degradation: nobody is serving and nothing moved
-                # for local_fallback_after seconds — run the rest here.
-                if (
-                    pending
-                    and not leases
-                    and not guard.stop_requested
-                    and not self._snapshot_hosts()
-                    and now - last_activity >= self.local_fallback_after
-                ):
-                    remaining = sorted(pending, key=lambda t: t.chunk_id)
-                    pending.clear()
-                    units = sum(t.size for t in remaining)
-                    self.stats.local_fallback_units += units
-                    emit("dist_local_fallback", chunks=len(remaining), units=units)
-                    local = SupervisedPoolTransport().execute(
-                        dataclasses.replace(request, tasks=remaining)
-                    )
-                    run.results.update(local.results)
-                    run.quarantined.extend(local.quarantined)
-                    run.unfinished.extend(local.unfinished)
-                    completed.update(local.results)
-                    stats.merge(local.stats)
-                    break
-        finally:
-            self._active = False
-            guard.restore()
-            if guard.stop_requested:
-                for host in self._snapshot_hosts():
-                    host.send(
-                        {
-                            "type": MSG_STAND_DOWN,
-                            "final": False,
-                            "reason": "interrupted",
-                        }
-                    )
-        run.unfinished.extend(pending)
-        run.unfinished.sort(key=lambda t: t.chunk_id)
-        return run
+            scheduler.emit(
+                "lease_granted", chunk=task.chunk_id, count=task.size, host=host.name
+            )
+        self._last_activity = now
+        sent = host.send(
+            {
+                "type": MSG_WORK,
+                "round": self._round,
+                "kind": self._request.kind,
+                "program": self._request.program,
+                "provider": self._request.provider,
+                "initializer": self._request.initializer,
+                "leases": entries,
+            }
+        )
+        if not sent:
+            self._sever(host, "send failed")
 
     def _snapshot_hosts(self) -> List[_Host]:
         with self._hosts_lock:

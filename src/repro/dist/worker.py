@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.engine import RegistryProvider
-from repro.campaign.supervisor import ChunkSupervisor, ChunkTask
+from repro.campaign.dispatch import ChunkTask
+from repro.campaign.supervisor import ChunkSupervisor
 from repro.dist.chaos import NetChaos
 from repro.dist.protocol import (
     MSG_DONE,

@@ -357,9 +357,18 @@ class ExperimentSession:
         space = enumerate_error_space(runner.golden, technique)
         validation_sampled = 0
         validation_mispredicted = 0
+        phase_seconds: Dict[str, float] = {}
+
+        def run_errors(errors):
+            # The engine reports phases per call; the run's total spans them all.
+            outcomes = self.runner.run_errors(program, technique, errors)
+            for phase, seconds in self.engine.phase_seconds.items():
+                phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
+            return outcomes
+
         if mode == "exhaustive":
             errors = [(e.dynamic_index, e.slot, e.bit) for e in space.iter_errors()]
-            outcomes = self.runner.run_errors(program, technique, errors)
+            outcomes = run_errors(errors)
             counts = OutcomeCounts()
             counts.update(outcomes)
             result = ExhaustiveCampaignResult(
@@ -372,6 +381,7 @@ class ExperimentSession:
                 inferred_errors=0,
                 outcome_counts=counts,
                 variant=variant,
+                phase_seconds=phase_seconds,
             )
         else:
             plan = self.pruned_plan(program, technique, infer=infer)
@@ -387,7 +397,7 @@ class ExperimentSession:
                 if key not in position_of:
                     position_of[key] = len(unique_errors)
                     unique_errors.append(key)
-            unique_outcomes = self.runner.run_errors(program, technique, unique_errors)
+            unique_outcomes = run_errors(unique_errors)
             errors = unique_errors
             representative_outcomes = {
                 p.class_id: unique_outcomes[
@@ -400,7 +410,7 @@ class ExperimentSession:
                 population = plan.non_representative_members()
                 sample = validation_sample(population, validate, seed)
                 sample_errors = [member for member, _class_id in sample]
-                actual = self.runner.run_errors(program, technique, sample_errors)
+                actual = run_errors(sample_errors)
                 for (member, class_id), outcome in zip(sample, actual):
                     validation_sampled += 1
                     if representative_outcomes[class_id] is not outcome:
@@ -417,6 +427,7 @@ class ExperimentSession:
                 validation_sampled=validation_sampled,
                 validation_mispredicted=validation_mispredicted,
                 variant=variant,
+                phase_seconds=phase_seconds,
             )
         self.store.add_exhaustive(result)
         if self.cache_path is not None:

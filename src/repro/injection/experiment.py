@@ -41,7 +41,7 @@ from repro.injection.injector import FaultInjector
 from repro.injection.outcome import Outcome
 from repro.injection.techniques import InjectionCandidate, InjectionTechnique
 from repro.telemetry.spans import PhaseClock
-from repro.vm.codegen import CompiledCode, CompiledInterpreter, compile_program
+from repro.vm.codegen import CompiledCode, CompiledInterpreter, compile_module
 from repro.vm.interpreter import (
     ExecutionLimits,
     ExecutionResult,
@@ -79,8 +79,6 @@ def _make_interpreter(
         )
     if backend == "compiled":
         if compiled is None:
-            from repro.vm.codegen import compile_module
-
             compiled = compile_module(program.module)
         return CompiledInterpreter(compiled, entry=program.entry, **kwargs)
     if backend == "reference":
@@ -180,9 +178,10 @@ class ExperimentRunner:
             if backend in ("decoded", "compiled")
             else None
         )
-        #: The transpiled artifact (compiled backend only).
+        #: The transpiled artifact (compiled backend only), shared through the
+        #: module's compile cache with pooled warm-up and other runners.
         self.compiled: Optional[CompiledCode] = (
-            compile_program(self.decoded) if backend == "compiled" else None
+            compile_module(program.module) if backend == "compiled" else None
         )
         self.args = list(args)
         #: Fast-forward exists on the decoded and compiled drivers; the
