@@ -79,7 +79,7 @@ def main() -> None:
     # A taste of what the transpiler emits for the entry function.
     source = compiled.source_bare
     snippet = "\n".join(source.splitlines()[:18])
-    print(f"\ngenerated source (bare variant, first lines of {len(source)} chars):")
+    print(f"\ngenerated source (first lines of {len(source)} chars):")
     for line in snippet.splitlines():
         print(f"  | {line}")
 

@@ -337,11 +337,12 @@ class ExperimentRunner:
         """Three-segment faulty run: bare sprint → hooked window → bare tail.
 
         Outside the injection window the hooks are pure pass-throughs, so
-        the run executes bare (compiled: the uninstrumented variant) up to
+        the run executes bare (compiled: generated code) up to
         ``first_dynamic_index``, switches the hooks in only while the
-        injector still has flips to place, and finishes bare the moment it
-        is exhausted.  Every segment enforces :class:`ExecutionLimits`, so
-        hangs classify at the exact same tick as an always-hooked run.
+        injector still has flips to place (compiled: on the decoded driver),
+        and finishes bare the moment it is exhausted.  Every segment
+        enforces :class:`ExecutionLimits`, so hangs classify at the exact
+        same tick as an always-hooked run.
         """
         interpreter = self._pooled_interpreter()
         clock = self.phases

@@ -71,13 +71,17 @@ class InjectionTechnique:
     def sample_candidate(
         self, trace: GoldenTrace, rng: random.Random
     ) -> InjectionCandidate:
-        """Uniformly sample one candidate location from the error space.
+        """Sample one candidate location: an instruction, then an operand.
 
         Sampling is done without materialising the full candidate list:
-        a record is drawn uniformly among eligible records, then a slot is
-        drawn uniformly among that record's register source operands (for
-        inject-on-read).  This matches uniform sampling over candidate
-        *locations*, the granularity the paper's campaigns use.
+        a record is drawn uniformly among eligible dynamic instructions,
+        then (for inject-on-read) a slot is drawn uniformly among that
+        record's register source operands — LLFI's instruction → operand
+        selection.  The sample is uniform over instructions, not over
+        (instruction, slot) pairs: when operand counts differ, a slot of a
+        one-operand instruction is drawn more often than a slot of a
+        two-operand one.  Inject-on-write candidates have one destination
+        each, so there the two coincide.
         """
         raise NotImplementedError
 

@@ -14,14 +14,18 @@ one function per IR function:
 * block transfer is a ``while``-over-label loop dispatched through a binary
   tree over block indices.
 
-Two variants are generated per program:
-
-* **bare** — no tracing, no hooks: the golden-run hot path, paying zero
-  instrumentation cost;
-* **instrumented** — trace appends plus read/write hook call sites compiled
-  in behind ``is None`` guards, bit-identical in sequence and arguments to
-  the decoded driver (the injection hot path), and carrying the resume entry
-  points used by checkpoint fast-forward.
+One variant is generated per program, with no tracing and no hooks: the
+golden run and the bare sprint and tail of every windowed faulty run pay
+zero instrumentation cost.  Each function gets an entry point and a resume
+entry point (checkpoint fast-forward and segment continuation re-enter its
+block loop at a restored label).  An execution with a read hook, write hook
+or trace collector armed runs on the decoded driver that
+:class:`CompiledInterpreter` subclasses; windowed execution hands live state
+between the two at every pause, so a faulty run pays the driver's hooked
+speed only for the few ticks of its injection window.  Set-up cost is one
+``compile()`` of the source per process: on a 2-core Xeon about 0.03 s for
+crc32 and 0.12 s for dijkstra (378 KB of source); the pooled 3,000-experiment
+dijkstra campaign of the end-to-end benchmark peaks at about 49 MB.
 
 Generated source references no live objects: every decode-time object it
 needs (fault classes, :class:`DecodedInstruction` instances, canonicalizer
@@ -38,16 +42,17 @@ next to the decode cache and is invalidated together with it: validity is
 pinned to the identity of the decoded program, and the structural-mutation
 hooks (:meth:`Instruction._invalidate_static_views`) clear it explicitly.
 
-Behavioural contract: bit-identical to the decoded driver — same golden
-traces, same hook call sequences, same faults (messages included), same
-``dynamic_index`` bookkeeping at every exit.  Enforced across every registry
-program by ``tests/test_compiled_differential.py``.
+Behavioural contract: bit-identical to the decoded driver — same outputs and
+return values, same faults (messages included), same ``dynamic_index``
+bookkeeping at every exit and pause; traces and hook call sequences come
+from the driver itself.  Enforced across every registry program by
+``tests/test_compiled_differential.py``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionSetupError
 from repro.ir.types import FloatType, IntType, PointerType
@@ -96,8 +101,9 @@ from repro.vm.program import (
 _MASK64 = (1 << 64) - 1
 
 #: Version tag of the generator, mixed into the artifact-cache key.  Bump
-#: whenever the emitted source or the const-table walk changes shape.
-CODEGEN_VERSION = "2"
+#: whenever the emitted source, the const-table walk or the payload changes
+#: shape.
+CODEGEN_VERSION = "3"
 
 #: Number of from-scratch source generations performed by this process.
 #: Mirrors ``snapshot.GOLDEN_DERIVATIONS``: cache hits never increment it.
@@ -185,8 +191,8 @@ _COMPARE_SYMBOLS = {
     operator.ge: ">=",
 }
 
-#: ``_build`` prologue shared by both variants (fault classes by header
-#: index, plus cheap builtin aliases that become closure cells).
+#: ``_build`` prologue (fault classes by header index, plus cheap builtin
+#: aliases that become closure cells).
 _FIXED_PROLOGUE = (
     "E_HANG = C[0]",
     "E_ABORT = C[1]",
@@ -215,11 +221,10 @@ _INT_BINOP_SYMBOLS = {
 
 
 class _Emitter:
-    """Generates one source variant (bare or instrumented) for a program."""
+    """Generates the source text of one decoded program."""
 
-    def __init__(self, decoded: DecodedProgram, instrumented: bool) -> None:
+    def __init__(self, decoded: DecodedProgram) -> None:
         self.decoded = decoded
-        self.instrumented = instrumented
         self.cindex = _ConstIndex(decoded)
         self.fn_symbol = {
             name: f"f_{j}" for j, name in enumerate(decoded.functions)
@@ -228,13 +233,11 @@ class _Emitter:
         self._indent = 1
         #: alias name -> defining expression, in dependency order.
         self.aliases: Dict[str, str] = {}
-        #: Bare variant: ticks accumulated since the last point where the
-        #: local ``n`` was materialised (block entry or call return).  The
-        #: instrumented variant keeps ``n`` exact per instruction (hooks and
-        #: traces observe it), so its delta is always zero.
+        #: Ticks accumulated since the last point where the local ``n`` was
+        #: materialised (block entry or call return).
         self._dn = 0
         #: Set by :meth:`emit_function` for the function being emitted —
-        #: needed by the bare variant's watchdog delegation.
+        #: needed by the stop-tick delegation.
         self._fn: Optional[Tuple[int, str, object]] = None
         #: Block / code position currently being emitted (pause-site labels).
         self._block = None
@@ -275,21 +278,10 @@ class _Emitter:
             self.aliases[name] = expr
         return name
 
-    def din_base(self, din) -> str:
-        index = self.cindex.din[id(din)]
-        return self.alias(f"D{index}", f"C[{index}]")
-
     def din_attr(self, din, attr: str, suffix: str) -> str:
-        base = self.din_base(din)
+        index = self.cindex.din[id(din)]
+        base = self.alias(f"D{index}", f"C[{index}]")
         return self.alias(f"{base}_{suffix}", f"{base}.{attr}")
-
-    def op_reg_alias(self, din, opi: int) -> str:
-        base = self.din_base(din)
-        return self.alias(f"{base}_r{opi}", f"{base}.operands[{opi}][2]")
-
-    def op_canon_alias(self, din, opi: int) -> str:
-        base = self.din_base(din)
-        return self.alias(f"{base}_c{opi}", f"{base}.operands[{opi}][4]")
 
     # -- literals and operand reads ----------------------------------------
     @staticmethod
@@ -303,47 +295,29 @@ class _Emitter:
                 return "NINF"
         return repr(value)
 
-    def read(self, din, opi: int, tmp: str) -> str:
-        """Emit/return one operand read with decoded-driver hook semantics."""
+    def read(self, din, opi: int) -> str:
+        """Source expression for one operand read."""
         op = din.operands[opi]
         kind = op[0]
         if kind == OP_CONSTANT:
             return self.lit(op[1])
         if kind == OP_GLOBAL:
             return f"G[{op[1]}]"
-        if not self.instrumented:
-            return f"r{op[1]}"
-        base = self.din_base(din)
-        reg = self.op_reg_alias(din, opi)
-        canon = self.op_canon_alias(din, opi)
-        self.w(f"{tmp} = r{op[1]}")
-        self.w("if RH is not None:")
-        self.w(f"    {tmp} = {canon}(RH(n - 1, {base}, {op[3]}, {reg}, {tmp}))")
-        return tmp
+        return f"r{op[1]}"
 
     def write_result(self, din, expr: str) -> None:
-        """Store an (already canonical) result with write-hook semantics."""
-        if not self.instrumented:
-            self.w(f"r{din.dest_slot} = {expr}")
-            return
-        base = self.din_base(din)
-        canon = self.din_attr(din, "canon", "cn")
-        reg = self.din_attr(din, "result_reg", "rr")
-        self.w(f"t = {expr}")
-        self.w("if WH is not None:")
-        self.w(f"    t = {canon}(WH(n - 1, {base}, {reg}, t))")
-        self.w(f"r{din.dest_slot} = t")
+        """Store an (already canonical) result in its frame slot."""
+        self.w(f"r{din.dest_slot} = {expr}")
 
     # -- integer codec helpers ---------------------------------------------
     def _bitwise_closed(self, din, width: int) -> bool:
         """True when a bitwise and/or/xor provably cannot leave the width.
 
-        Bare-variant register reads hold canonically wrapped values by
-        construction; constants are checked against the canonical range at
-        generation time.  Hooked reads (instrumented variant) and globals may
-        carry arbitrary ints, so they keep the full wrap.
+        Register reads hold canonically wrapped values by construction;
+        constants are checked against the canonical range at generation
+        time.  Globals may carry arbitrary ints, so they keep the full wrap.
         """
-        if self.instrumented or width <= 1:
+        if width <= 1:
             return False
         low, high = -(1 << (width - 1)), 1 << (width - 1)
         for op in din.operands:
@@ -370,40 +344,41 @@ class _Emitter:
         sign_bit = 1 << (width - 1)
         return f"((({expr}) & {mask}) ^ {sign_bit}) - {sign_bit}"
 
+    def _frame_slots(self) -> str:
+        """Comma-separated source names of every frame slot."""
+        return ", ".join(f"r{slot}" for slot in range(self._fn[2].frame_size))
+
     def _frame_tuple(self) -> str:
         """Source tuple packing every frame slot (pause-site capture)."""
-        dfunc = self._fn[2]
-        if dfunc.frame_size == 0:
+        frame_size = self._fn[2].frame_size
+        if frame_size == 0:
             return "()"
-        regs = ", ".join(f"r{slot}" for slot in range(dfunc.frame_size))
-        if dfunc.frame_size == 1:
-            return f"({regs},)"
-        return f"({regs})"
+        if frame_size == 1:
+            return f"({self._frame_slots()},)"
+        return f"({self._frame_slots()})"
 
-    # -- per-instruction emitters ------------------------------------------
-    def emit_tick(self, din) -> None:
-        if not self.instrumented:
-            # The bare variant has no per-tick observers: the watchdog (and
-            # any armed pause tick — ``limit`` hoists ``vm._stop``) is
-            # enforced by the block-entry/post-call delegation checks, and
-            # fault sites embed their tick offset as a literal.
-            self._dn += 1
-            return
-        # ``limit`` is ``vm._stop`` = min(watchdog, pause tick); ``SC``
-        # raises HangDetected or a pause signal carrying this exact site.
-        self.w("if n >= limit:")
+    def _emit_delegation(self, ticks: int, position: int) -> None:
+        """Hand the rest of this invocation to the driver near the stop tick.
+
+        If ``ticks`` more ticks could cross ``vm._stop`` (the watchdog
+        limit, or an armed pause tick — hoisted as ``limit``), the
+        (bit-identical) interpretive driver runs the rest of the invocation
+        from ``position`` of the current block and enforces the exact
+        per-tick check.  Off the stop this costs one compare.
+        """
+        name = self._fn[1]
+        tail = f", {position}" if position else ""
+        self.w(f"if n + {ticks} > limit:")
         self.w("    vm.dynamic_index = n")
         self.w(
-            f"    SC(n, {self._block.index}, {self._pos}, {self._frame_tuple()})"
+            f"    return vm._tail_interpret({name!r}, [{self._frame_slots()}], "
+            f"{self._block.index}, P{tail})"
         )
-        meta = self.din_attr(din, "meta", "m")
-        self.w("if TR is not None:")
-        self.w(f"    TR({meta})")
-        self.w("n += 1")
 
+    # -- per-instruction emitters ------------------------------------------
     def emit_int_binop(self, din) -> None:
-        a = self.read(din, 0, "x")
-        b = self.read(din, 1, "y")
+        a = self.read(din, 0)
+        b = self.read(din, 1)
         width, mask, signed = self._int_shape(din.result_reg.type)
         opcode = din.opcode
         symbol = _INT_BINOP_SYMBOLS.get(opcode)
@@ -461,8 +436,8 @@ class _Emitter:
         self.write_result(din, expr)
 
     def emit_float_binop(self, din) -> None:
-        a = self.read(din, 0, "x")
-        b = self.read(din, 1, "y")
+        a = self.read(din, 0)
+        b = self.read(din, 1)
         op_alias = self.din_attr(din, "operation", "op")
         canon = self.din_attr(din, "canon", "cn")
         self.write_result(din, f"{canon}({op_alias}(FLT({a}), FLT({b})))")
@@ -476,8 +451,8 @@ class _Emitter:
         return False
 
     def emit_compare(self, din) -> None:
-        a = self.read(din, 0, "x")
-        b = self.read(din, 1, "y")
+        a = self.read(din, 0)
+        b = self.read(din, 1)
         ops = din.operands
         if din.to_unsigned is not None:
             mask = (1 << din.to_unsigned.__self__.width) - 1
@@ -498,7 +473,7 @@ class _Emitter:
         self.write_result(din, expr)
 
     def emit_cast(self, din) -> None:
-        value = self.read(din, 0, "x")
+        value = self.read(din, 0)
         inlined = self._inline_cast_expr(din, value)
         if inlined is not None:
             self.write_result(din, inlined)
@@ -510,10 +485,9 @@ class _Emitter:
     def _inline_cast_expr(self, din, value: str) -> Optional[str]:
         """Closed-form source for int/pointer casts of a register operand.
 
-        Register reads are canonical in the source type in both variants
-        (bare by construction, instrumented because the read hook's result is
-        re-canonicalized), which lets most width changes collapse to a wrap
-        expression or the identity.  Returns ``None`` when the generic
+        Register reads are canonical in the source type by construction,
+        which lets most width changes collapse to a wrap expression or the
+        identity.  Returns ``None`` when the generic
         ``canon(operation(x))`` closure pair must be kept (float-involved
         casts, bitcast, constant/global operands).
         """
@@ -573,7 +547,7 @@ class _Emitter:
             if op[0] == OP_CONSTANT and 0 <= op[1] <= (1 << 24)
             else None
         )
-        count = self.read(din, 0, "x")
+        count = self.read(din, 0)
         cur = self.cur()
         if static_count is None:
             self.w(f"if ({count}) < 0 or ({count}) > {1 << 24}:")
@@ -618,7 +592,7 @@ class _Emitter:
         self.w("    raise")
 
     def emit_load(self, din) -> None:
-        addr = self.read(din, 0, "x")
+        addr = self.read(din, 0)
         self._emit_align_check(din, addr)
         # Inline the segment-cache hit (len(data) <= size always holds, so one
         # bound check covers both); anything else falls back to Memory.read_bytes.
@@ -654,14 +628,14 @@ class _Emitter:
         self.write_result(din, expr)
 
     def emit_load_generic(self, din) -> None:
-        addr = self.read(din, 0, "x")
+        addr = self.read(din, 0)
         vt = self.din_attr(din, "value_type", "vt")
         self._emit_mem_guard(f"val = _mem.read_scalar(int({addr}), {vt})")
         self.write_result(din, "val")
 
     def emit_store(self, din) -> None:
-        value = self.read(din, 0, "x")
-        addr = self.read(din, 1, "y")
+        value = self.read(din, 0)
+        addr = self.read(din, 1)
         self._emit_align_check(din, addr)
         value_type = din.value_type
         if isinstance(value_type, IntType):
@@ -692,46 +666,31 @@ class _Emitter:
         self.pop()
 
     def emit_store_generic(self, din) -> None:
-        value = self.read(din, 0, "x")
-        addr = self.read(din, 1, "y")
+        value = self.read(din, 0)
+        addr = self.read(din, 1)
         vt = self.din_attr(din, "value_type", "vt")
         self._emit_mem_guard(
             f"_mem.write_scalar(int({addr}), {value}, {vt})"
         )
 
     def emit_gep(self, din) -> None:
-        base = self.read(din, 0, "x")
-        index = self.read(din, 1, "y")
+        base = self.read(din, 0)
+        index = self.read(din, 1)
         self.write_result(
             din, f"(({base}) + ({index}) * {din.stride}) & {_MASK64}"
         )
 
     def emit_select(self, din) -> None:
-        condition = self.read(din, 0, "x")
+        condition = self.read(din, 0)
         canon = self.din_attr(din, "canon", "cn")
-        if not self.instrumented:
-            true_expr = self.read(din, 1, "y")
-            false_expr = self.read(din, 2, "z")
-            self.write_result(
-                din, f"{canon}({true_expr} if {condition} else {false_expr})"
-            )
-            return
-        self.w(f"if {condition}:")
-        self.push()
-        chosen = self.read(din, 1, "y")
-        self.w(f"sel = {chosen}")
-        self.pop()
-        self.w("else:")
-        self.push()
-        chosen = self.read(din, 2, "y")
-        self.w(f"sel = {chosen}")
-        self.pop()
-        self.write_result(din, f"{canon}(sel)")
+        true_expr = self.read(din, 1)
+        false_expr = self.read(din, 2)
+        self.write_result(
+            din, f"{canon}({true_expr} if {condition} else {false_expr})"
+        )
 
     def emit_call(self, din) -> None:
-        values = [
-            self.read(din, i, f"x{i}") for i in range(len(din.operands))
-        ]
+        values = [self.read(din, i) for i in range(len(din.operands))]
         self.w(f"vm.dynamic_index = {self.cur()}")
         if din.callee is not None:
             symbol = self.fn_symbol[din.callee.name]
@@ -746,45 +705,30 @@ class _Emitter:
                 f"{self._frame_tuple()})"
             )
             self.w("    raise")
-            # The callee advanced the counter; rebase the local and (in the
-            # bare variant) restart the pending-tick delta from zero.
+            # The callee advanced the counter; rebase the local and restart
+            # the pending-tick delta from zero.
             self.w("n = vm.dynamic_index")
             self._dn = 0
-            needs_recheck = not self.instrumented
         else:
             # Intrinsics never advance the counter: ``n`` plus the pending
             # delta stays exact, no rebase needed.
             fn = self.din_attr(din, "intrinsic_fn", "fn")
             tail = "," if len(values) == 1 else ""
             self.w(f"t = {fn}(vm, ({', '.join(values)}{tail}))")
-            needs_recheck = False
         if din.dest_slot >= 0:
             canon = self.din_attr(din, "canon", "cn")
             self.write_result(din, f"{canon}(0 if t is None else t)")
-        if needs_recheck:
+        if din.callee is not None:
             # The callee may have consumed the distance to the stop tick
-            # (watchdog or pause): re-check before finishing this block
-            # bare, delegating the remainder to the interpretive driver
-            # mid-block when the stop is in reach.  Emitted after the
-            # result write so the delegated frame holds the call result.
-            remaining = self._block.code_len - self._pos - 1
-            _j, name, dfunc = self._fn
-            frame = ", ".join(f"r{slot}" for slot in range(dfunc.frame_size))
-            self.w(f"if n + {remaining} > limit:")
-            self.w("    vm.dynamic_index = n")
-            self.w(
-                f"    return vm._tail_interpret({name!r}, [{frame}], "
-                f"{self._block.index}, P, {self._pos + 1})"
+            # (watchdog or pause): re-check before finishing this block,
+            # delegating the remainder mid-block.  Emitted after the result
+            # write so the delegated frame holds the call result.
+            self._emit_delegation(
+                self._block.code_len - self._pos - 1, self._pos + 1
             )
 
-    def emit_call_unknown(self, din) -> None:
-        if self.instrumented:
-            for i in range(len(din.operands)):
-                self.read(din, i, f"x{i}")
-        self.w(f"vm.dynamic_index = {self.cur()}")
-        self.w(f"raise E_ESE({din.error_message!r})")
-
-    def emit_unsupported(self, din) -> None:
+    def emit_setup_error(self, din) -> None:
+        """An unknown callee or unsupported opcode: fails when executed."""
         self.w(f"vm.dynamic_index = {self.cur()}")
         self.w(f"raise E_ESE({din.error_message!r})")
 
@@ -804,68 +748,22 @@ class _Emitter:
         return f"{canon_in}(r{op[1]})"
 
     def emit_phi_edge(self, moves, failure) -> None:
-        temps: List[str] = []
-        for mi, (op, phi_din) in enumerate(moves):
-            expr = self.phi_read(phi_din, op)
-            if self.instrumented:
-                meta = self.din_attr(phi_din, "meta", "m")
-                self.w(f"t{mi} = {expr}")
-                self.w("if TR is not None:")
-                self.w(f"    TR({meta})")
-                temps.append(f"t{mi}")
-            else:
-                temps.append(expr)
         if moves:
             self.w(f"n += {len(moves)}")
         if failure is not None:
             self.w("vm.dynamic_index = n")
             self.w(f"raise E_IJF({failure!r}, dynamic_index=n)")
             return
-        if not moves:
-            return
-        if not self.instrumented:
+        if moves:
             dests = ", ".join(f"r{pd.dest_slot}" for _, pd in moves)
-            self.w(f"{dests} = {', '.join(temps)}")
-            return
-        self.w("if WH is not None:")
-        self.push()
-        for mi, (op, phi_din) in enumerate(moves):
-            base = self.din_base(phi_din)
-            canon = self.din_attr(phi_din, "canon", "cn")
-            reg = self.din_attr(phi_din, "result_reg", "rr")
-            self.w(f"t{mi} = {canon}(WH(n - 1, {base}, {reg}, t{mi}))")
-        self.pop()
-        for mi, (op, phi_din) in enumerate(moves):
-            self.w(f"r{phi_din.dest_slot} = t{mi}")
+            values = ", ".join(self.phi_read(pd, op) for op, pd in moves)
+            self.w(f"{dests} = {values}")
 
     def emit_block(self, block) -> None:
         self._dn = 0
         self._block = block
-        if not self.instrumented:
-            # Stop-tick delegation: if any tick of this block could cross
-            # ``vm._stop`` (the watchdog limit, or an armed pause tick), hand
-            # the rest of this invocation to the (bit-identical) interpretive
-            # driver, which enforces the exact per-tick check.  Off the stop
-            # this costs one compare per block.
-            j, name, dfunc = self._fn
-            frame = ", ".join(f"r{slot}" for slot in range(dfunc.frame_size))
-            self.w(f"if n + {block.phi_count + block.code_len} > limit:")
-            self.w("    vm.dynamic_index = n")
-            self.w(
-                f"    return vm._tail_interpret({name!r}, [{frame}], "
-                f"{block.index}, P)"
-            )
-        elif block.phi_count:
-            # Phi moves are one atomic parallel assignment: a pause tick
-            # landing inside the group suspends at the block entry instead
-            # (SCP no-ops when the trigger was only watchdog proximity —
-            # hangs keep firing at code ticks, exactly like the driver).
-            self.w(f"if n + {block.phi_count} > limit:")
-            self.w("    vm.dynamic_index = n")
-            self.w(
-                f"    SCP(n, {block.phi_count}, {block.index}, "
-                f"{self._frame_tuple()}, P)"
-            )
+        # Delegate the whole block, phi moves included, near the stop tick.
+        self._emit_delegation(block.phi_count + block.code_len, 0)
         if block.phi_count:
             first = True
             for pred, (moves, failure) in block.phi_edges.items():
@@ -877,7 +775,9 @@ class _Emitter:
         terminated = False
         for position, din in enumerate(block.code):
             self._pos = position
-            self.emit_tick(din)
+            # No per-tick observers: the stop tick is enforced by the
+            # delegation checks, and fault sites embed their tick offset.
+            self._dn += 1
             kind = din.kind
             if kind == KIND_SIMPLE:
                 handler = din.handler
@@ -905,13 +805,9 @@ class _Emitter:
                     self.emit_select(din)
                 elif handler is _h_call:
                     self.emit_call(din)
-                elif handler is _h_call_unknown:
-                    self.emit_call_unknown(din)
-                    terminated = True
-                    break
                 else:
-                    assert handler is _h_unsupported
-                    self.emit_unsupported(din)
+                    assert handler in (_h_call_unknown, _h_unsupported)
+                    self.emit_setup_error(din)
                     terminated = True
                     break
                 continue
@@ -922,7 +818,7 @@ class _Emitter:
                 self.w(f"L = {din.target.index}")
                 self.w("continue")
             elif kind == KIND_COND_BRANCH:
-                condition = self.read(din, 0, "x")
+                condition = self.read(din, 0)
                 if self._dn:
                     self.w(f"n += {self._dn}")
                 self.w(f"P = {block.index}")
@@ -936,7 +832,7 @@ class _Emitter:
                     self.w(f"vm.dynamic_index = {self.cur()}")
                     self.w("return None")
                 else:
-                    value = self.read(din, 0, "x")
+                    value = self.read(din, 0)
                     ret_canon = self.alias(
                         f"F{self.fn_symbol[din.func_name][2:]}_rc",
                         f"C[{self.cindex.fn_ret[din.func_name]}]",
@@ -988,11 +884,8 @@ class _Emitter:
             "read": False,
             "write": False,
             "mem": False,
-            "phis": False,
         }
         for block in dfunc.blocks:
-            if block.phi_count:
-                uses["phis"] = True
             for moves, _failure in block.phi_edges.values():
                 for op, _phi in moves:
                     if op[0] == OP_GLOBAL:
@@ -1018,13 +911,6 @@ class _Emitter:
             self.w("MR = _mem.read_bytes")
         if uses["write"]:
             self.w("MW = _mem.write_bytes")
-        if self.instrumented:
-            self.w("TR = vm._trace_append")
-            self.w("RH = vm.read_hook")
-            self.w("WH = vm.write_hook")
-            self.w("SC = vm._stop_raise")
-            if uses["phis"]:
-                self.w("SCP = vm._stop_raise_prephi")
         # min(watchdog limit, armed pause tick) — segmented execution reuses
         # every existing stop check to pause at exact tick boundaries.
         self.w("limit = vm._stop")
@@ -1123,53 +1009,39 @@ class _Emitter:
         return "\n".join(lines) + "\n"
 
 
-def generate_sources(decoded: DecodedProgram) -> Tuple[str, str]:
-    """(bare, instrumented) source texts for one decoded program."""
-    return (
-        _Emitter(decoded, instrumented=False).generate(),
-        _Emitter(decoded, instrumented=True).generate(),
-    )
+def generate_source(decoded: DecodedProgram) -> str:
+    """The source text of one decoded program."""
+    return _Emitter(decoded).generate()
 
 
 # --------------------------------------------------------------------------- exec & caching
 class CompiledCode:
-    """The compiled form of one decoded program: sources plus live functions.
+    """The compiled form of one decoded program: its source plus live functions.
 
-    ``bare`` and ``instrumented`` map function name to ``(entry, resume)``
-    pairs; ``entry(vm, *args)`` runs the function from its entry block,
+    ``bare`` maps function name to an ``(entry, resume)`` pair;
+    ``entry(vm, *args)`` runs the function from its entry block,
     ``resume(vm, frame, label, previous)`` re-enters the block loop at a
     restored label (fast-forward interop).  Validity is pinned to the
     identity of ``program`` — the compiled cache dies with the decode cache.
     """
 
-    __slots__ = (
-        "program",
-        "source_bare",
-        "source_instrumented",
-        "bare",
-        "instrumented",
-        "loaded_from_cache",
-    )
+    __slots__ = ("program", "source_bare", "bare", "loaded_from_cache")
 
     def __init__(
         self,
         program: DecodedProgram,
         source_bare: str,
-        source_instrumented: str,
         bare: Dict[str, Tuple[Callable, Callable]],
-        instrumented: Dict[str, Tuple[Callable, Callable]],
         loaded_from_cache: bool,
     ) -> None:
         self.program = program
         self.source_bare = source_bare
-        self.source_instrumented = source_instrumented
         self.bare = bare
-        self.instrumented = instrumented
         self.loaded_from_cache = loaded_from_cache
 
 
 def _exec_source(source: str, consts: List, tag: str):
-    """Execute one generated variant against its const table."""
+    """Execute generated source against its const table."""
     namespace: Dict = {}
     code = compile(source, f"<codegen:{tag}>", "exec")
     exec(code, namespace)
@@ -1177,20 +1049,19 @@ def _exec_source(source: str, consts: List, tag: str):
 
 
 def codegen_key(cache, module) -> str:
-    """Artifact-cache key for a module's generated source texts."""
+    """Artifact-cache key for a module's generated source text."""
     from repro.artifacts import module_fingerprint
 
     return cache.key_for("codegen", module_fingerprint(module), CODEGEN_VERSION)
 
 
-def _cache_payload(decoded: DecodedProgram, sources: Tuple[str, str], consts_len: int) -> Dict:
+def _cache_payload(decoded: DecodedProgram, source: str, consts_len: int) -> Dict:
     return {
         "version": CODEGEN_VERSION,
         "module": decoded.module.name,
         "functions": list(decoded.functions),
         "consts_len": consts_len,
-        "source_bare": sources[0],
-        "source_instrumented": sources[1],
+        "source": source,
     }
 
 
@@ -1201,6 +1072,7 @@ def _valid_payload(payload, decoded: DecodedProgram, consts_len: int) -> bool:
             and payload.get("version") == CODEGEN_VERSION
             and payload.get("consts_len") == consts_len
             and set(payload.get("functions", ())) == set(decoded.functions)
+            and isinstance(payload.get("source"), str)
         )
     except TypeError:  # pragma: no cover - corrupted payload shapes
         return False
@@ -1220,42 +1092,37 @@ def compile_program(decoded: DecodedProgram) -> CompiledCode:
     consts = build_consts(decoded)
     disk = active_cache()
     key = codegen_key(disk, decoded.module) if disk is not None else None
-    sources: Optional[Tuple[str, str]] = None
-    loaded = False
+    tag = f"{decoded.module.name}:bare"
+
+    def regenerate() -> str:
+        source = generate_source(decoded)
+        _note_generation(decoded.module.name)
+        if disk is not None:
+            disk.store("codegen", key, _cache_payload(decoded, source, len(consts)))
+        return source
+
+    source: Optional[str] = None
     if disk is not None:
         payload = disk.load("codegen", key)
         if _valid_payload(payload, decoded, len(consts)):
-            sources = (payload["source_bare"], payload["source_instrumented"])
-            loaded = True
-
-    if sources is None:
-        sources = generate_sources(decoded)
-        _note_generation(decoded.module.name)
-        if disk is not None:
-            disk.store("codegen", key, _cache_payload(decoded, sources, len(consts)))
+            source = payload["source"]
+    loaded = source is not None
+    if source is None:
+        source = regenerate()
 
     try:
-        bare = _exec_source(sources[0], consts, f"{decoded.module.name}:bare")
-        instrumented = _exec_source(
-            sources[1], consts, f"{decoded.module.name}:instr"
-        )
+        functions = _exec_source(source, consts, tag)
     except Exception:
         if not loaded:
             raise
         # A stale/corrupt cached source (e.g. written by a different code
         # revision under the same CODEGEN_VERSION) must not poison the run:
         # regenerate from the decoded program and overwrite the artifact.
-        sources = generate_sources(decoded)
-        _note_generation(decoded.module.name)
+        source = regenerate()
         loaded = False
-        if disk is not None:
-            disk.store("codegen", key, _cache_payload(decoded, sources, len(consts)))
-        bare = _exec_source(sources[0], consts, f"{decoded.module.name}:bare")
-        instrumented = _exec_source(
-            sources[1], consts, f"{decoded.module.name}:instr"
-        )
+        functions = _exec_source(source, consts, tag)
 
-    return CompiledCode(decoded, sources[0], sources[1], bare, instrumented, loaded)
+    return CompiledCode(decoded, source, functions, loaded)
 
 
 def compile_module(module) -> CompiledCode:
@@ -1294,9 +1161,7 @@ def persist_compiled_source(module) -> bool:
         "codegen",
         key,
         _cache_payload(
-            code.program,
-            (code.source_bare, code.source_instrumented),
-            len(build_consts(code.program)),
+            code.program, code.source_bare, len(build_consts(code.program))
         ),
     )
     return True
@@ -1304,18 +1169,20 @@ def persist_compiled_source(module) -> bool:
 
 # --------------------------------------------------------------------------- interpreter
 class CompiledInterpreter(Interpreter):
-    """An :class:`Interpreter` that runs transpiled code instead of the driver.
+    """An :class:`Interpreter` that runs generated code while nothing observes it.
 
     Construction, memory/global materialisation, hook attributes, result
-    classification (:meth:`_execute`), ``restore`` and the public surface are
-    inherited unchanged; only the execution core is swapped: ``run`` calls
-    the generated entry function, and function calls made *by* generated
-    code dispatch straight back into generated code.
+    classification, ``restore`` and the public surface are inherited
+    unchanged; only the execution core is swapped.
 
-    Variant selection happens at ``run``/``resume`` time: with no trace
-    collector and no hooks armed the bare variant executes (zero
-    instrumentation cost); otherwise the instrumented variant provides
-    bit-identical trace/hook sequences to the decoded driver.
+    :meth:`_execute` chooses the core at the start of every execution —
+    ``run``, ``resume`` and each segment of a windowed run.  With no trace
+    collector and no hooks armed the generated code executes, and function
+    calls made *by* generated code dispatch straight back into generated
+    code.  Otherwise the inherited decoded driver executes, firing hooks and
+    appending trace records itself.  Windowed execution switches cores at
+    its pauses, which hand live frames, memory and the tick counter over
+    unchanged.
 
     Fast-forward interop: snapshots are captured by the decoded driver
     against the *same* :class:`DecodedProgram` (slot numbering and block
@@ -1334,38 +1201,33 @@ class CompiledInterpreter(Interpreter):
         if code.program is not self.program:
             code = compile_program(self.program)
         self.code = code
-        self._active = code.instrumented
+        #: True while the current execution runs on the decoded driver.
+        self._hooked = False
 
-    # -- variant selection ---------------------------------------------------
-    def _select_variant(self) -> None:
-        if (
+    # -- execution core ------------------------------------------------------
+    def _execute(self, thunk) -> "ExecutionResult":
+        self._hooked = not (
             self.read_hook is None
             and self.write_hook is None
             and self._trace_append is None
-        ):
-            self._active = self.code.bare
-        else:
-            self._active = self.code.instrumented
-
-    # -- execution core ------------------------------------------------------
-    def run(self, args: Sequence = ()) -> "ExecutionResult":
-        self._select_variant()
-        return super().run(args)
+        )
+        return super()._execute(thunk)
 
     def _run_function(self, dfunc, args):
-        # Also the call dispatch target for ``_h_call`` during the
-        # interpretive tail of a fast-forward resume.
-        return self._active[dfunc.name][0](self, *args)
+        # Also the call dispatch target for ``_h_call`` on the driver.
+        if self._hooked:
+            return super()._run_function(dfunc, args)
+        return self.code.bare[dfunc.name][0](self, *args)
 
     def _tail_interpret(
         self, name: str, frame, block_index: int, previous: int, position: int = 0
     ):
-        """Stop-tick delegation target for the bare variant.
+        """Stop-tick delegation target of generated code.
 
-        Generated bare code carries no per-instruction stop check; when a
-        block's remaining ticks could cross ``vm._stop`` (the watchdog
-        limit, or an armed pause tick) it hands the rest of the invocation
-        to the inherited (bit-identical) interpretive driver, which raises
+        Generated code carries no per-instruction stop check; when a block's
+        remaining ticks could cross ``vm._stop`` (the watchdog limit, or an
+        armed pause tick) it hands the rest of the invocation to the
+        inherited (bit-identical) interpretive driver, which raises
         :class:`HangDetected` — or pauses — at the exact tick.  Calls made
         by the driver still dispatch back into compiled code.  ``position``
         is non-zero for the post-call re-check, which delegates mid-block
@@ -1375,26 +1237,12 @@ class CompiledInterpreter(Interpreter):
         return self._block_loop(frame, block, previous, position, position > 0)
 
     # -- fast-forward --------------------------------------------------------
-    def resume(self, snapshot) -> "ExecutionResult":
-        self.restore(snapshot)
-        self._select_variant()
-        return self._execute(lambda: self._resume_level(snapshot.frames, 0))
-
-    def run_segment(self, args, pause_tick):
-        self._select_variant()
-        return super().run_segment(args, pause_tick)
-
-    def resume_segment(self, snapshot, pause_tick):
-        self._select_variant()
-        return super().resume_segment(snapshot, pause_tick)
-
-    def continue_segment(self, suspended, pause_tick):
-        self._select_variant()
-        return super().continue_segment(suspended, pause_tick)
-
     def _resume_level(self, frames, level: int):
+        if self._hooked:
+            return super()._resume_level(frames, level)
         record = frames[level]
         dfunc = record.dfunc
+        resume = self.code.bare[dfunc.name][1]
         self._call_depth += 1
         frame = list(record.frame)
         try:
@@ -1410,15 +1258,13 @@ class CompiledInterpreter(Interpreter):
             elif record.previous is not None:
                 # Paused before the block's phi group: the compiled resume
                 # entry runs the phis for the captured edge, then the body.
-                return self._active[dfunc.name][1](
-                    self, frame, block.index, record.previous
-                )
+                return resume(self, frame, block.index, record.previous)
             else:
                 outcome = self._finish_block(frame, block, record.position)
             if outcome[0] == "ret":
                 return outcome[1]
             _tag, previous, target = outcome
-            return self._active[dfunc.name][1](self, frame, target.index, previous)
+            return resume(self, frame, target.index, previous)
         except _PauseSignal as signal:
             if not signal._site_open:
                 # Pause surfaced from the nested level's resume: this level
@@ -1436,11 +1282,11 @@ class CompiledInterpreter(Interpreter):
         Returns ``("ret", value)`` when the block returns or ``("jump",
         previous, target)`` at the next block transfer — the point where
         control can re-enter the compiled loop (compiled code is addressable
-        only at block boundaries).
+        only at block boundaries).  Runs only unobserved executions, so it
+        appends no trace records.
         """
         limit = self.limits.max_dynamic_instructions
         stop = self._stop
-        trace = self._trace_append
         code = block.code
         code_len = block.code_len
         try:
@@ -1453,8 +1299,6 @@ class CompiledInterpreter(Interpreter):
                     signal = _PauseSignal(self.memory.stack_mark())
                     signal.site(block.index, position, tuple(frame))
                     raise signal
-                if trace is not None:
-                    trace(din.meta)
                 self.dynamic_index = index + 1
 
                 kind = din.kind

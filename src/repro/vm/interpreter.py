@@ -131,9 +131,9 @@ WriteHook = Callable[[int, HookInstruction, VirtualRegister, RuntimeScalar], Run
 class _PauseSignal(Exception):
     """Internal control-flow signal: a segmented run reached its pause tick.
 
-    Raised from the inner loop (or generated code) when ``dynamic_index``
-    reaches the armed pause tick, and caught by :meth:`Interpreter._segment`,
-    which converts it into a :class:`SuspendedRun`.  While the signal unwinds
+    Raised from the driver's inner loop when ``dynamic_index`` reaches the
+    armed pause tick, and caught by :meth:`Interpreter._segment`, which
+    converts it into a :class:`SuspendedRun`.  While the signal unwinds
     the Python call stack, each VM stack level freezes itself into a
     :class:`~repro.vm.snapshot.FrameSnapshot` via the two-step
     :meth:`site` / :meth:`level` protocol:
@@ -387,36 +387,6 @@ class Interpreter:
         else:
             self._pause_tick = pause_tick
             self._stop = pause_tick
-
-    def _stop_raise(self, n: int, block_index: int, position: int, frame) -> None:
-        """Generated-code stop check tripped: raise hang or pause (always raises).
-
-        The compiled variants compare against the hoisted ``vm._stop``; this
-        trampoline distinguishes the two causes so one per-tick compare
-        serves both, with ``vm.dynamic_index`` already synced by the caller.
-        """
-        limit = self.limits.max_dynamic_instructions
-        if n >= limit:
-            raise HangDetected(n, limit)
-        signal = _PauseSignal(self.memory.stack_mark())
-        signal.site(block_index, position, frame)
-        raise signal
-
-    def _stop_raise_prephi(
-        self, n: int, phi_count: int, block_index: int, frame, previous: int
-    ) -> None:
-        """Pre-phi stop check tripped: pause before the phi group, or no-op.
-
-        Returns (running the phis) when the trigger was only watchdog
-        proximity — hang checks fire at code ticks, never inside a phi
-        group, exactly like the decoded driver.
-        """
-        pause = self._pause_tick
-        if pause is None or n + phi_count <= pause:
-            return
-        signal = _PauseSignal(self.memory.stack_mark())
-        signal.site(block_index, 0, frame, previous)
-        raise signal
 
     def _segment(self, thunk, pause_tick: Optional[int]):
         """Run ``thunk`` until it ends or reaches ``pause_tick``.

@@ -257,7 +257,6 @@ class TestCodegenCache:
         warm = compile_decoded(decoded)
         assert warm.loaded_from_cache
         assert warm.source_bare == cold.source_bare
-        assert warm.source_instrumented == cold.source_instrumented
         assert artifacts.active_cache().stats.hits.get("codegen", 0) >= 1
 
         # The cache-loaded functions execute identically.

@@ -51,7 +51,10 @@ def main() -> "i64":
     return total
 '''
 
-_RUNNER = None
+#: One runner per thread: agents served from threads stand for separate
+#: hosts, and an ExperimentRunner (its pooled interpreter) is not shared
+#: between threads.
+_RUNNERS = threading.local()
 
 
 @pytest.fixture(autouse=True)
@@ -72,13 +75,13 @@ def _reset_global_caches():
 
 def dist_provider(name):
     """Module-level (hence picklable-by-reference) runner provider."""
-    global _RUNNER
-    if _RUNNER is None:
+    runner = getattr(_RUNNERS, "runner", None)
+    if runner is None:
         program = compile_program(
             "tiny", [TINY_PROGRAM], {"scratch": ("i32", [0, 0, 0, 0])}
         )
-        _RUNNER = ExperimentRunner(program)
-    return _RUNNER
+        runner = _RUNNERS.runner = ExperimentRunner(program)
+    return runner
 
 
 def tiny_config(**overrides):

@@ -5,7 +5,9 @@
 * an exhaustive run with validation reports the phase time of every engine
   call it made, not only the last one;
 * a pooled compiled campaign generates and ``exec``s its code once in the
-  parent, however many times runners and warm-up ask for it.
+  parent, however many times runners and warm-up ask for it;
+* a generated-code artifact written in the previous two-source format is a
+  cache miss: it is regenerated and stored again, never executed.
 """
 
 import pytest
@@ -180,4 +182,49 @@ class TestCompiledWarmup:
         finally:
             artifacts.configure(None)
         assert result.experiments == 16
-        assert sorted(executed) == ["tinyjit:bare", "tinyjit:instr"]
+        assert executed == ["tinyjit:bare"]
+
+    def test_two_source_artifact_of_the_previous_version_is_regenerated(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import artifacts
+        from repro.vm import codegen, decode_module
+
+        module = tiny_program("tinystale").module
+        decoded = decode_module(module)
+        executed = []
+        original = codegen._exec_source
+
+        def recording_exec(source, consts, tag):
+            executed.append(source)
+            return original(source, consts, tag)
+
+        monkeypatch.setattr(codegen, "_exec_source", recording_exec)
+        stale = "raise AssertionError('stale codegen artifact executed')\n"
+        try:
+            cache = artifacts.configure(tmp_path / "artifacts")
+            # Version "2" stored a bare and an instrumented source per module.
+            stale_key = cache.key_for(
+                "codegen", artifacts.module_fingerprint(module), "2"
+            )
+            assert cache.store(
+                "codegen",
+                stale_key,
+                {
+                    "version": "2",
+                    "module": module.name,
+                    "functions": list(decoded.functions),
+                    "consts_len": len(codegen.build_consts(decoded)),
+                    "source_bare": stale,
+                    "source_instrumented": stale,
+                },
+            )
+            generations = codegen.CODEGEN_GENERATIONS
+            code = codegen.compile_program(decoded)
+            stored = cache.load("codegen", codegen.codegen_key(cache, module))
+        finally:
+            artifacts.configure(None)
+        assert not code.loaded_from_cache
+        assert codegen.CODEGEN_GENERATIONS == generations + 1
+        assert executed == [code.source_bare]
+        assert stored["source"] == code.source_bare
