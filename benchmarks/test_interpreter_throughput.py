@@ -4,10 +4,12 @@ Measures runs/sec of every execution backend (``reference`` tree-walker,
 ``decoded`` decode-once driver, ``compiled`` transpiled Python) in three
 instrumentation modes — ``bare`` (golden run), ``traced`` (golden-trace
 collection) and ``hooked`` (no-op injection hooks installed) — and asserts
-the decoded and compiled hot paths keep their headline speedups.  A second
-section measures fault-injection experiment throughput on a *late-injection*
-workload (first flip in the last quarter of the golden run, where the
-skippable prefix is longest) with checkpoint fast-forwarding on vs. off.
+the decoded and compiled hot paths keep their headline speedups.  A traced
+or hooked compiled run executes on the decoded interpreter, so the compiled
+backend is timed bare only.  A second section measures fault-injection
+experiment throughput on a *late-injection* workload (first flip in the last
+quarter of the golden run, where the skippable prefix is longest): checkpoint
+fast-forwarding on vs. off, and injection windowing on vs. off.
 The numbers are written to ``BENCH_interpreter.json`` at the repository
 root, one section per backend, so the perf trajectory is tracked across PRs
 (CI prints the file on every run).
@@ -32,12 +34,11 @@ Knobs:
     late-injection workload (default 1.5; CI enforces the same bar, measured
     headroom is several x).
 ``REPRO_BENCH_MIN_WINDOWED_SPEEDUP``
-    Required campaign-throughput speedup of the windowed compiled
-    configuration over the always-hooked campaign baseline (decoded backend
-    with fast-forward — the configuration campaigns ran in before windowed
-    execution existed) on the late-injection workload.  Default 1.5 as the
-    flake-resistant floor; the CI perf step enforces the real 2.0 bar
-    (measured headroom is ~2.5x).
+    Required campaign-throughput speedup of the compiled backend over the
+    decoded one on the late-injection workload, both windowed and
+    fast-forwarded (the production configuration of each backend).  Default
+    1.5 as the flake-resistant floor; the CI perf step enforces the real 2.0
+    bar (measured headroom is ~2.5x).
 ``REPRO_BENCH_MAX_SUPERVISED_OVERHEAD``
     Maximum tolerated throughput overhead of the supervised multiprocess
     engine (chunk supervisor, retry bookkeeping, heartbeat deadlines) over
@@ -72,6 +73,7 @@ import gc
 import itertools
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -107,11 +109,16 @@ MAX_TELEMETRY_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_MAX_TELEMETRY_OVERHEAD", "0.10")
 )
 MAX_DIST_OVERHEAD = float(os.environ.get("REPRO_BENCH_MAX_DIST_OVERHEAD", "0.5"))
+#: Alternating local/distributed pass pairs of the distributed-overhead gate.
+DIST_PAIRS = 5
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_interpreter.json"
 
-BACKENDS = ("reference", "decoded", "compiled")
 MODES = ("bare", "traced", "hooked")
+#: Modes timed per backend: a traced or hooked compiled run executes on the
+#: decoded interpreter, so only the compiled ``bare`` cell times generated
+#: code.
+BACKEND_MODES = {"reference": MODES, "decoded": MODES, "compiled": ("bare",)}
 
 
 def _measure_once(make_interpreter, min_seconds: float) -> float:
@@ -174,21 +181,31 @@ def _late_injection_specs(runner: ExperimentRunner, count: int = 16):
     ]
 
 
-def _experiments_per_second(runner: ExperimentRunner, specs, min_seconds: float = SECONDS) -> float:
-    runner.run_spec(specs[0])  # warm-up (builds checkpoints / interpreter)
+def _experiment_rates(runners, specs, min_seconds: float = SECONDS) -> dict:
+    """Experiments/s of each named runner, measured in alternating windows.
 
-    def measure_once() -> float:
-        cycle = itertools.cycle(specs)
-        runs = 0
-        started = time.perf_counter()
-        while True:
-            runner.run_spec(next(cycle))
-            runs += 1
-            elapsed = time.perf_counter() - started
-            if elapsed >= min_seconds:
-                return runs / elapsed
-
-    return max(measure_once(), measure_once())
+    Each runner gets four windows of ``min_seconds / 2`` in rounds whose
+    order flips every round, and keeps its best window.  A load swing then
+    hits the runners alike instead of sinking whichever one it overlapped,
+    so the ratios between them hold on a shared machine.
+    """
+    for runner in runners.values():
+        runner.run_spec(specs[0])  # warm-up (builds checkpoints / interpreter)
+    rates = dict.fromkeys(runners, 0.0)
+    labels = list(runners)
+    for round_index in range(4):
+        for label in labels if round_index % 2 == 0 else labels[::-1]:
+            cycle = itertools.cycle(specs)
+            runs = 0
+            started = time.perf_counter()
+            while True:
+                runners[label].run_spec(next(cycle))
+                runs += 1
+                elapsed = time.perf_counter() - started
+                if elapsed >= min_seconds / 2:
+                    break
+            rates[label] = max(rates[label], runs / elapsed)
+    return rates
 
 
 def test_interpreter_throughput():
@@ -210,48 +227,40 @@ def test_interpreter_throughput():
             mode: _runs_per_second(
                 lambda backend=backend, mode=mode: make_interpreter(backend, mode)
             )
-            for mode in MODES
+            for mode in modes
         }
-        for backend in BACKENDS
+        for backend, modes in BACKEND_MODES.items()
     }
     speedup = backends["decoded"]["bare"] / backends["reference"]["bare"]
     compiled_speedup = backends["compiled"]["bare"] / backends["decoded"]["bare"]
 
-    # Fault-injection experiment throughput: checkpoint fast-forward vs.
-    # from-scratch prefix replay on a late-injection workload.
+    # Fault-injection experiment throughput on a late-injection workload.
+    # ``fast_forward`` is the decoded backend's production configuration:
+    # fast-forwarded and windowed (bare sprint → hooked window → bare tail).
+    # Each other runner changes one thing: ``from_scratch`` replays the
+    # golden prefix (``speedup_fast_forward``), ``windowed`` runs on the
+    # compiled backend (``speedup_windowed``, the backend win) and
+    # ``always_hooked`` arms the hooks from the restored checkpoint to the
+    # end on the same decoded interpreter (``speedup_windowed_vs_hooked``, the
+    # windowing win).
     ff_runner = ExperimentRunner(program, fast_forward=True)
-    scratch_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, fast_forward=False
-    )
+    golden = ff_runner.golden
     late_specs = _late_injection_specs(ff_runner)
-    experiment_rates = {
-        "fast_forward": _experiments_per_second(ff_runner, late_specs),
-        "from_scratch": _experiments_per_second(scratch_runner, late_specs),
-    }
-    ff_speedup = experiment_rates["fast_forward"] / experiment_rates["from_scratch"]
     checkpoints = ff_runner._checkpoint_store()
-
-    # Campaign-level metric: injection-windowed execution (bare sprint →
-    # hooked window → bare tail) on the compiled backend vs. the always-
-    # hooked baselines.  ``fast_forward`` above *is* the always-hooked
-    # campaign baseline (decoded backend, hooks armed for the whole faulty
-    # suffix — the configuration campaigns ran in before windowed execution
-    # existed); ``always_hooked_compiled`` isolates the windowing win from
-    # the backend win.
-    windowed_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, backend="compiled", windowed=True
+    experiment_rates = _experiment_rates(
+        {
+            "fast_forward": ff_runner,
+            "from_scratch": ExperimentRunner(program, golden=golden, fast_forward=False),
+            "windowed": ExperimentRunner(
+                program, golden=golden, backend="compiled", windowed=True
+            ),
+            "always_hooked": ExperimentRunner(program, golden=golden, windowed=False),
+        },
+        late_specs,
     )
-    hooked_compiled_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, backend="compiled", windowed=False
-    )
-    experiment_rates["windowed"] = _experiments_per_second(windowed_runner, late_specs)
-    experiment_rates["always_hooked_compiled"] = _experiments_per_second(
-        hooked_compiled_runner, late_specs
-    )
+    ff_speedup = experiment_rates["fast_forward"] / experiment_rates["from_scratch"]
     windowed_speedup = experiment_rates["windowed"] / experiment_rates["fast_forward"]
-    windowed_vs_hooked_compiled = (
-        experiment_rates["windowed"] / experiment_rates["always_hooked_compiled"]
-    )
+    windowed_vs_hooked = experiment_rates["fast_forward"] / experiment_rates["always_hooked"]
 
     golden_length = registry.get_experiment_runner(PROGRAM).golden.dynamic_instruction_count
     payload = {
@@ -274,7 +283,7 @@ def test_interpreter_throughput():
         },
         "speedup_fast_forward": round(ff_speedup, 2),
         "speedup_windowed": round(windowed_speedup, 2),
-        "speedup_windowed_vs_hooked_compiled": round(windowed_vs_hooked_compiled, 2),
+        "speedup_windowed_vs_hooked": round(windowed_vs_hooked, 2),
         "checkpoints": {
             "count": len(checkpoints),
             "interval_ticks": checkpoints.interval,
@@ -303,15 +312,15 @@ def test_interpreter_throughput():
     )
     assert windowed_speedup >= MIN_WINDOWED_SPEEDUP, (
         f"windowed compiled execution is only {windowed_speedup:.2f}x the "
-        f"always-hooked campaign baseline "
+        f"windowed decoded campaign baseline "
         f"({experiment_rates['windowed']:.1f} vs "
         f"{experiment_rates['fast_forward']:.1f} experiments/s on the "
         f"late-injection workload); expected at least {MIN_WINDOWED_SPEEDUP}x"
     )
-    assert windowed_vs_hooked_compiled > 1.0, (
+    assert windowed_vs_hooked > 1.0, (
         f"windowed execution is not faster than always-hooked on the same "
-        f"(compiled) backend: {experiment_rates['windowed']:.1f} vs "
-        f"{experiment_rates['always_hooked_compiled']:.1f} experiments/s"
+        f"(decoded) backend: {experiment_rates['fast_forward']:.1f} vs "
+        f"{experiment_rates['always_hooked']:.1f} experiments/s"
     )
 
 
@@ -443,7 +452,10 @@ def test_distributed_engine_overhead():
     serving two single-process ``repro worker`` subprocess agents, asserts
     the outcomes are identical, and records the throughput ratio as
     ``distributed_relative_throughput`` in ``BENCH_interpreter.json`` so
-    the lease/framing tax is tracked across PRs.
+    the lease/framing tax is tracked across PRs.  The two sides alternate
+    over :data:`DIST_PAIRS` pairs of passes (swapping which side goes first
+    each pair) and the gate reads the median per-pair ratio: a load swing
+    that lasts a whole pass moves one pair, not the median.
     """
     from repro.campaign.engine import MultiprocessEngine, registry_provider
     from repro.dist import CoordinatorTransport
@@ -451,22 +463,16 @@ def test_distributed_engine_overhead():
     runner = registry_provider(PROGRAM)  # compile + profile before dispatch
     errors = _late_injection_errors(runner, SUPERVISED_ERRORS)
 
-    def errors_per_second(engine: MultiprocessEngine) -> "tuple[float, list]":
-        best = 0.0
-        outcomes = None
-        for _ in range(2):  # best of two: load spikes cannot sink the ratio
-            started = time.perf_counter()
-            outcomes = engine.run_errors(
-                PROGRAM, "inject-on-write", errors, provider=registry_provider
-            )
-            elapsed = time.perf_counter() - started
-            best = max(best, len(errors) / elapsed)
-        return best, outcomes
+    def timed_pass(engine: MultiprocessEngine) -> "tuple[float, list]":
+        started = time.perf_counter()
+        outcomes = engine.run_errors(
+            PROGRAM, "inject-on-write", errors, provider=registry_provider
+        )
+        return len(errors) / (time.perf_counter() - started), outcomes
 
-    local_rate, local_outcomes = errors_per_second(MultiprocessEngine(jobs=2))
-
+    local = MultiprocessEngine(jobs=2)
     transport = CoordinatorTransport("127.0.0.1", 0)
-    engine = MultiprocessEngine(jobs=2, transport=transport)
+    distributed = MultiprocessEngine(jobs=2, transport=transport)
     host, port = transport.address
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -480,22 +486,35 @@ def test_distributed_engine_overhead():
         )
         for _ in range(2)
     ]
+    rates = {"local": [], "distributed": []}
+    outcomes = []
     try:
         deadline = time.monotonic() + 60.0
         while len(transport.connected_hosts) < 2:
             assert time.monotonic() < deadline, "worker agents never attached"
             time.sleep(0.05)
-        dist_rate, dist_outcomes = errors_per_second(engine)
+        engines = (("local", local), ("distributed", distributed))
+        for pair in range(DIST_PAIRS):
+            for side, engine in engines if pair % 2 == 0 else engines[::-1]:
+                rate, result = timed_pass(engine)
+                rates[side].append(rate)
+                outcomes.append(result)
     finally:
-        engine.close()
+        distributed.close()
+        local.close()
         for proc in workers:
             try:
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
-    assert dist_outcomes == local_outcomes  # same campaign, same bytes
+    # Same campaign, same bytes, on every pass of either side.
+    assert all(result == outcomes[0] for result in outcomes)
 
-    relative = dist_rate / local_rate
+    relative = statistics.median(
+        [remote / near for remote, near in zip(rates["distributed"], rates["local"])]
+    )
+    dist_rate = statistics.median(rates["distributed"])
+    local_rate = statistics.median(rates["local"])
     try:
         payload = json.loads(RESULT_PATH.read_text())
     except (OSError, ValueError):
@@ -506,14 +525,15 @@ def test_distributed_engine_overhead():
         "local_pool": round(local_rate, 1),
         "errors": len(errors),
         "hosts": 2,
+        "pairs": DIST_PAIRS,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     assert relative >= 1.0 - MAX_DIST_OVERHEAD, (
         f"distributed dispatch reaches only {relative:.2f}x the local pool "
-        f"({dist_rate:.1f} vs {local_rate:.1f} errors/s on the "
-        f"late-injection campaign); tolerated overhead is "
-        f"{MAX_DIST_OVERHEAD:.0%}"
+        f"(median of {DIST_PAIRS} alternating pairs; medians {dist_rate:.1f} "
+        f"vs {local_rate:.1f} errors/s on the late-injection campaign); "
+        f"tolerated overhead is {MAX_DIST_OVERHEAD:.0%}"
     )
 
 

@@ -44,7 +44,7 @@ from repro.telemetry import metrics as telemetry_metrics
 #: Version tag of the derivation pipeline, mixed into every cache key.  Bump
 #: whenever the serialised payloads or the semantics of trace collection,
 #: def-use extraction, inference or planning change.
-CODE_VERSION = "5.0-columnar"
+CODE_VERSION = "5.1-segment-capture"
 
 #: Frame slots holding the VM's UNDEFINED sentinel are encoded as this token
 #: (frames otherwise only hold ints/floats, so the string cannot collide).
@@ -323,6 +323,7 @@ def serialize_golden(golden, store) -> dict:
                         frame.position,
                         _encode_frame(frame.frame),
                         frame.stack_mark,
+                        frame.previous,
                     )
                     for frame in snapshot.frames
                 ],
@@ -361,8 +362,9 @@ def deserialize_golden(payload: dict, decoded):
                         frame_position,
                         _decode_frame(frame),
                         stack_mark,
+                        previous,
                     )
-                    for name, block_index, frame_position, frame, stack_mark in frames
+                    for name, block_index, frame_position, frame, stack_mark, previous in frames
                 ),
                 memory=memory,
                 output=output,

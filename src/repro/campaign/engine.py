@@ -83,24 +83,20 @@ def registry_provider(program_name: str) -> ExperimentRunner:
 
 @dataclass(frozen=True)
 class RegistryProvider:
-    """A registry provider with execution knobs, picklable for worker pools.
+    """A registry provider, picklable for worker pools.
 
-    ``fast_forward`` / ``checkpoint_interval`` / ``windowed`` parameterise
-    the :class:`~repro.injection.experiment.ExperimentRunner` each worker
-    builds (the CLI's ``--no-fast-forward`` / ``--checkpoint-interval`` /
-    ``--no-windowed`` land here).  ``cache_dir`` points workers at the
-    persistent artifact cache (:mod:`repro.artifacts`), so spawned processes
-    warm up from disk instead of re-deriving golden traces, checkpoints,
-    def-use indices and generated backend source.  ``backend`` selects the
-    execution engine each worker's runner uses (``decoded``, ``compiled`` or
-    ``reference``).
+    ``cache_dir`` points workers at the persistent artifact cache
+    (:mod:`repro.artifacts`), so spawned processes warm up from disk instead
+    of re-deriving golden traces, checkpoints, def-use indices and generated
+    backend source.  ``backend`` selects the execution engine each worker's
+    runner uses (``decoded``, ``compiled`` or ``reference``).  Decoded and
+    compiled runners always fast-forward and window their faulty runs; the
+    baselines without either are
+    :class:`~repro.injection.experiment.ExperimentRunner` arguments only.
     """
 
-    fast_forward: bool = True
-    checkpoint_interval: Optional[int] = None
     cache_dir: Optional[str] = None
     backend: str = "decoded"
-    windowed: bool = True
 
     def prepare(self) -> None:
         """Activate this provider's artifact cache in the current process.
@@ -121,13 +117,7 @@ class RegistryProvider:
         from repro.programs.registry import get_experiment_runner
 
         self.prepare()
-        return get_experiment_runner(
-            program_name,
-            fast_forward=self.fast_forward,
-            checkpoint_interval=self.checkpoint_interval,
-            backend=self.backend,
-            windowed=self.windowed,
-        )
+        return get_experiment_runner(program_name, backend=self.backend)
 
 
 class CachingProvider:

@@ -17,9 +17,10 @@ Campaign results can be cached to a JSON file with ``--cache`` so repeated
 invocations only run what is missing.  ``--jobs N`` fans experiments out to a
 worker pool (results are bit-identical to a serial run of the same seed), and
 ``--checkpoint`` persists the store mid-sweep so interrupted runs resume.
-Experiments fast-forward over their fault-free prefix by restoring VM
-checkpoints; ``--no-fast-forward`` disables this and ``--checkpoint-interval``
-pins the checkpoint spacing (both change runtime only, never results).
+On the decoded and compiled backends every faulty run fast-forwards over
+its fault-free prefix by restoring a VM checkpoint, and arms its injection
+hooks only inside the fault window (results are bit-identical to a
+from-scratch, always-hooked run).
 ``--cache-dir DIR`` activates the persistent artifact cache (golden traces,
 checkpoints, def-use indices, pruned plans), so repeated invocations and
 worker pools pay planning cost once per host; it defaults to
@@ -52,7 +53,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.campaign import EngineProgress, ExperimentScale
+from repro.campaign import EngineProgress, ExperimentScale, SMOKE_SCALE
 from repro.experiments import (
     ExperimentSession,
     figure1,
@@ -101,17 +102,24 @@ def _positive_int(text: str) -> int:
 
 
 def _build_session(args: argparse.Namespace) -> ExperimentSession:
-    scale = ExperimentScale("cli", experiments_per_campaign=args.experiments)
+    """The session of every campaign-running command, from its parsed flags.
+
+    ``exhaustive`` has no ``--experiments``, ``--checkpoint`` or
+    ``--backend``; its sessions never run sampled campaigns, so the scale
+    is moot there.
+    """
+    experiments = getattr(args, "experiments", None)
     return ExperimentSession(
-        scale=scale,
+        scale=(
+            ExperimentScale("cli", experiments_per_campaign=experiments)
+            if experiments is not None
+            else SMOKE_SCALE
+        ),
         cache_path=args.cache,
         cache_dir=getattr(args, "cache_dir", None),
-        checkpoint_path=args.checkpoint,
+        checkpoint_path=getattr(args, "checkpoint", None),
         jobs=args.jobs,
-        fast_forward=not args.no_fast_forward,
-        checkpoint_interval=args.checkpoint_interval,
         backend=getattr(args, "backend", "decoded"),
-        windowed=not getattr(args, "no_windowed", False),
         progress=_progress(_reporter(args)),
         experiment_progress=_experiment_progress(_reporter(args)),
         max_retries=getattr(args, "max_retries", 3),
@@ -291,29 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(defaults to --cache when given)",
         )
         sub.add_argument(
-            "--no-fast-forward",
-            action="store_true",
-            help="replay every experiment's fault-free prefix from scratch "
-            "instead of restoring VM checkpoints (slower; results are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
-            "--no-windowed",
-            action="store_true",
-            help="keep injection hooks armed for the whole faulty run instead "
-            "of only inside the fault window (slower; results are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
-            "--checkpoint-interval",
-            type=_positive_int,
-            default=None,
-            metavar="TICKS",
-            help="starting spacing (dynamic instructions) between VM "
-            "checkpoints during golden profiling (default: auto-tuned from "
-            "the golden run length; the snapshot budget applies either way)",
-        )
-        sub.add_argument(
             "--backend",
             default="decoded",
             choices=("decoded", "compiled", "reference"),
@@ -389,25 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         campaign_parser.add_argument(
             "--checkpoint", default=None, help=argparse.SUPPRESS
-        )
-        campaign_parser.add_argument(
-            "--no-fast-forward",
-            action="store_true",
-            help="replay every experiment's fault-free prefix from scratch",
-        )
-        campaign_parser.add_argument(
-            "--no-windowed",
-            action="store_true",
-            help="keep injection hooks armed for the whole faulty run instead "
-            "of only inside the fault window (slower; results are "
-            "bit-identical either way)",
-        )
-        campaign_parser.add_argument(
-            "--checkpoint-interval",
-            type=_positive_int,
-            default=None,
-            metavar="TICKS",
-            help="starting spacing between VM checkpoints during golden profiling",
         )
         campaign_parser.add_argument(
             "--backend",
@@ -531,29 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for campaign execution (default 1 = serial; "
         "results are identical to a serial run for the same seed)",
-    )
-    exhaustive_parser.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        help="replay every experiment's fault-free prefix from scratch "
-        "instead of restoring VM checkpoints (slower; results are "
-        "bit-identical either way)",
-    )
-    exhaustive_parser.add_argument(
-        "--no-windowed",
-        action="store_true",
-        help="keep injection hooks armed for the whole faulty run instead "
-        "of only inside the fault window (slower; results are "
-        "bit-identical either way)",
-    )
-    exhaustive_parser.add_argument(
-        "--checkpoint-interval",
-        type=_positive_int,
-        default=None,
-        metavar="TICKS",
-        help="starting spacing (dynamic instructions) between VM "
-        "checkpoints during golden profiling (default: auto-tuned from "
-        "the golden run length; the snapshot budget applies either way)",
     )
     add_output_options(exhaustive_parser)
     add_resilience_options(exhaustive_parser)
@@ -811,23 +754,7 @@ def _run_candidates(args: argparse.Namespace) -> str:
 
 
 def _run_exhaustive(args: argparse.Namespace) -> str:
-    session = ExperimentSession(
-        cache_path=args.cache,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        fast_forward=not args.no_fast_forward,
-        checkpoint_interval=args.checkpoint_interval,
-        windowed=not args.no_windowed,
-        progress=_progress(_reporter(args)),
-        experiment_progress=_experiment_progress(_reporter(args)),
-        max_retries=args.max_retries,
-        chunk_timeout=args.chunk_timeout,
-        quarantine=not args.no_quarantine,
-        resume=args.resume,
-        hosts=getattr(args, "hosts", 0),
-        dist_bind=getattr(args, "dist_bind", "127.0.0.1"),
-        dist_port=getattr(args, "dist_port", 0),
-    )
+    session = _build_session(args)
     _announce_coordinator(session, _reporter(args))
     get_program(args.program)  # raises ConfigurationError on typos
     if args.budget is not None and not args.prune:

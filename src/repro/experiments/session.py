@@ -42,15 +42,14 @@ class ExperimentSession:
     ``jobs`` selects the execution engine: 1 (the default) runs campaigns
     serially in-process, larger values fan experiments out to a multiprocess
     worker pool; pass ``engine`` to supply a custom backend (mutually
-    exclusive with ``jobs``).  ``fast_forward`` / ``checkpoint_interval``
-    control checkpoint/restore fast-forwarding of each experiment's golden
-    prefix (on by default; results are bit-identical either way).
-    ``backend`` selects the execution engine runners use (``decoded``,
-    ``compiled`` or ``reference``).  Long sweeps checkpoint the store to
-    ``checkpoint_path`` (falling back to ``cache_path``) after every
-    ``checkpoint_every`` completed campaigns; a new session loads the store
-    back from the cache or, failing that, the checkpoint, so interrupted
-    runs resume from the last checkpoint.
+    exclusive with ``jobs``).  ``backend`` selects the execution engine
+    runners use (``decoded``, ``compiled`` or ``reference``).  On the first
+    two, every faulty run restores the VM checkpoint before its first flip
+    and arms the injection hooks only inside the fault window.  Long sweeps
+    checkpoint the store to ``checkpoint_path`` (falling back to
+    ``cache_path``) after every ``checkpoint_every`` completed campaigns; a
+    new session loads the store back from the cache or, failing that, the
+    checkpoint, so interrupted runs resume from the last checkpoint.
 
     ``cache_dir`` activates the persistent artifact cache
     (:mod:`repro.artifacts`): golden traces, VM checkpoints, def-use indices
@@ -91,10 +90,7 @@ class ExperimentSession:
         checkpoint_every: int = 1,
         jobs: int = 1,
         engine: Optional[ExecutionEngine] = None,
-        fast_forward: bool = True,
-        checkpoint_interval: Optional[int] = None,
         backend: str = "decoded",
-        windowed: bool = True,
         progress: Optional[Callable[[str], None]] = None,
         experiment_progress: Optional[ProgressCallback] = None,
         max_retries: int = 3,
@@ -196,11 +192,8 @@ class ExperimentSession:
                     runlog_dir=runlog,
                 )
         self._provider = RegistryProvider(
-            fast_forward=fast_forward,
-            checkpoint_interval=checkpoint_interval,
             cache_dir=str(self.cache_dir) if self.cache_dir is not None else None,
             backend=backend,
-            windowed=windowed,
         )
         self.runner = CampaignRunner(
             self._provider,

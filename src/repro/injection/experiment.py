@@ -13,19 +13,23 @@ does:
 The runner lowers the workload into its decoded executable form
 (:mod:`repro.vm.program`) exactly once; the profiling run and every faulty
 run share that one artifact, so per-experiment cost is execution only.  The
-``backend`` knob selects the tree-walking
-:class:`~repro.vm.reference.ReferenceInterpreter` instead — the seam the
-differential test suite uses to prove both paths produce bit-identical
+``backend`` knob selects generated code (``compiled``) or the tree-walking
+:class:`~repro.vm.reference.ReferenceInterpreter` (``reference``) — the seam
+the differential test suites use to prove every path produces bit-identical
 results.
 
-On the decoded backend the runner additionally *fast-forwards*: the
-profiling run records VM checkpoints (:mod:`repro.vm.snapshot`) every few
-hundred ticks, and each experiment restores the latest checkpoint at or
-before its first injection index instead of re-executing the shared golden
-prefix — turning per-experiment cost from O(full run) into O(interval +
-faulty suffix).  Fast-forwarded results are bit-identical to from-scratch
-execution (the differential suite enforces this); ``fast_forward=False``
-disables the optimisation entirely.
+On the decoded and compiled backends every faulty run takes one path, on
+one pooled interpreter.  The profiling run records VM checkpoints
+(:mod:`repro.vm.snapshot`) every few hundred ticks; a faulty run restores
+the latest checkpoint at or before its first injection index instead of
+re-executing the shared golden prefix, sprints bare to the fault window,
+runs hooked only while flips remain, and finishes bare.  Per-experiment
+cost is O(interval + faulty suffix), with hooks paid only inside the
+window.  The ``fast_forward`` and ``windowed`` runner arguments (and their
+per-run overrides) switch the two halves off — from scratch, hooked from
+the first tick — as the baselines the differential suites and benchmarks
+compare against; results are bit-identical either way.  The reference
+oracle replays every run from scratch, hooked.
 """
 
 from __future__ import annotations
@@ -195,10 +199,9 @@ class ExperimentRunner:
         self.checkpoint_interval = checkpoint_interval
         self.max_checkpoints = max_checkpoints
         self._checkpoints: Optional[CheckpointStore] = None
-        self._ff_interpreter: Optional[Interpreter] = None
-        #: Pooled from-scratch driver (non-fast-forward runs): built once,
-        #: rewound with ``reset()`` per experiment (reference stays per-run).
-        self._scratch_interpreter: Optional[Interpreter] = None
+        #: The pooled interpreter of every decoded/compiled faulty run: built
+        #: once, rewound per run by ``restore()`` or ``reset()``.
+        self._interpreter: Optional[Interpreter] = None
         #: Per-phase accounting across this runner's experiments (restore /
         #: pre-window sprint / hooked window / bare tail).  A single-cursor
         #: lap clock: every covered instant lands in exactly one phase, so
@@ -313,7 +316,7 @@ class ExperimentRunner:
 
     def _pooled_interpreter(self) -> Interpreter:
         """The one long-lived resumable driver every experiment reuses."""
-        interpreter = self._ff_interpreter
+        interpreter = self._interpreter
         if interpreter is None:
             if self.backend == "compiled":
                 interpreter = CompiledInterpreter(
@@ -323,37 +326,42 @@ class ExperimentRunner:
                 interpreter = Interpreter(
                     self.decoded, entry=self.program.entry, limits=self.limits
                 )
-            self._ff_interpreter = interpreter
+            self._interpreter = interpreter
         return interpreter
 
-    def _run_windowed(
+    def _run_segments(
         self,
         injector: FaultInjector,
         spec: FaultSpec,
         read_hook,
         write_hook,
-        use_fast_forward: bool,
+        fast_forward: bool,
+        windowed: bool,
     ) -> ExecutionResult:
-        """Three-segment faulty run: bare sprint → hooked window → bare tail.
+        """One faulty run on the pooled interpreter: sprint, hooked window, tail.
 
+        The run starts from the latest checkpoint at or before
+        ``first_dynamic_index`` (from scratch without ``fast_forward``).
         Outside the injection window the hooks are pure pass-throughs, so
         the run executes bare (compiled: generated code) up to
         ``first_dynamic_index``, switches the hooks in only while the
         injector still has flips to place (compiled: on the decoded driver),
-        and finishes bare the moment it is exhausted.  Every segment
-        enforces :class:`ExecutionLimits`, so hangs classify at the exact
-        same tick as an always-hooked run.
+        and finishes bare the moment it is exhausted.  Without ``windowed``
+        the hooks are armed from the first tick and the run never pauses.
+        Every segment enforces :class:`ExecutionLimits`, so hangs classify
+        at the exact same tick either way.
         """
         interpreter = self._pooled_interpreter()
         clock = self.phases
         first = spec.first_dynamic_index
         snapshot = None
-        if use_fast_forward:
+        if fast_forward:
             store = self._checkpoint_store()
             if store is not None:
                 snapshot = store.latest_at(first)
-        interpreter.read_hook = None
-        interpreter.write_hook = None
+        pause = first if windowed else None
+        interpreter.read_hook = None if windowed else read_hook
+        interpreter.write_hook = None if windowed else write_hook
         try:
             # One cursor covers the whole run: each lap attributes the time
             # since the previous lap to exactly one phase, so boundary
@@ -365,12 +373,12 @@ class ExperimentRunner:
                 clock.lap("restore")
                 # The restore inside resume_segment re-restores the same
                 # state object: a delta restore of a clean memory, ~free.
-                out = interpreter.resume_segment(snapshot, first)
+                out = interpreter.resume_segment(snapshot, pause)
             else:
                 interpreter.reset()
                 clock.lap("restore")
-                out = interpreter.run_segment(self.args, first)
-            clock.lap("pre_window")
+                out = interpreter.run_segment(self.args, pause)
+            clock.lap("pre_window" if windowed else "window")
             chunk = 1
             while isinstance(out, SuspendedRun):
                 if injector.exhausted:
@@ -423,77 +431,28 @@ class ExperimentRunner:
         injector = FaultInjector(spec)
         read_hook = injector.read_hook if spec.technique == "inject-on-read" else None
         write_hook = injector.write_hook if spec.technique == "inject-on-write" else None
-        use_fast_forward = (
-            self.fast_forward
-            if fast_forward is None
-            else bool(fast_forward) and self.backend in ("decoded", "compiled")
-        )
-        use_windowed = (
-            self.windowed
-            if windowed is None
-            else bool(windowed) and self.backend in ("decoded", "compiled")
-        )
         self.experiments_run += 1
-        execution: Optional[ExecutionResult] = None
-        if use_windowed:
-            execution = self._run_windowed(
-                injector, spec, read_hook, write_hook, use_fast_forward
+        if self.backend == "reference":
+            # The oracle replays every run from scratch on a fresh tree-walker.
+            interpreter = _make_interpreter(
+                self.program,
+                self.backend,
+                limits=self.limits,
+                read_hook=read_hook,
+                write_hook=write_hook,
             )
-        elif use_fast_forward:
-            store = self._checkpoint_store()
-            snapshot = (
-                store.latest_at(spec.first_dynamic_index) if store is not None else None
+            self.phases.start()
+            execution = interpreter.run(self.args)
+            self.phases.lap("window")
+        else:
+            execution = self._run_segments(
+                injector,
+                spec,
+                read_hook,
+                write_hook,
+                self.fast_forward if fast_forward is None else bool(fast_forward),
+                self.windowed if windowed is None else bool(windowed),
             )
-            if snapshot is not None:
-                # One long-lived driver is reused by every fast-forwarded
-                # experiment; restore() rewinds all of its state.
-                interpreter = self._pooled_interpreter()
-                interpreter.read_hook = read_hook
-                interpreter.write_hook = write_hook
-                try:
-                    self.phases.start()
-                    execution = interpreter.resume(snapshot)
-                    self.phases.lap("window")
-                finally:
-                    interpreter.read_hook = None
-                    interpreter.write_hook = None
-        if execution is None:
-            if self.backend in ("decoded", "compiled"):
-                # Pooled from-scratch driver: decode/compile and address-space
-                # setup are paid once, reset() rewinds it per experiment.
-                interpreter = self._scratch_interpreter
-                if interpreter is None:
-                    interpreter = _make_interpreter(
-                        self.program,
-                        self.backend,
-                        self.decoded,
-                        self.compiled,
-                        limits=self.limits,
-                    )
-                    self._scratch_interpreter = interpreter
-                interpreter.read_hook = read_hook
-                interpreter.write_hook = write_hook
-                try:
-                    self.phases.start()
-                    interpreter.reset()
-                    execution = interpreter.run(self.args)
-                    self.phases.lap("window")
-                finally:
-                    interpreter.read_hook = None
-                    interpreter.write_hook = None
-            else:
-                interpreter = _make_interpreter(
-                    self.program,
-                    self.backend,
-                    self.decoded,
-                    self.compiled,
-                    limits=self.limits,
-                    read_hook=read_hook,
-                    write_hook=write_hook,
-                )
-                self.phases.start()
-                execution = interpreter.run(self.args)
-                self.phases.lap("window")
         outcome = self.classify(execution)
         return ExperimentResult(
             spec=spec,

@@ -115,26 +115,12 @@ def get_defuse_index(name: str):
 
 
 @lru_cache(maxsize=None)
-def get_experiment_runner(
-    name: str,
-    fast_forward: bool = True,
-    checkpoint_interval: "int | None" = None,
-    backend: str = "decoded",
-    windowed: bool = True,
-) -> ExperimentRunner:
-    """A ready-to-use experiment runner, cached per configuration.
+def get_experiment_runner(name: str, backend: str = "decoded") -> ExperimentRunner:
+    """A ready-to-use experiment runner, cached per program and backend.
 
-    With ``fast_forward`` (the default) the runner's warm-up also captures
-    the workload's VM checkpoints, cached alongside the golden trace — under
-    a ``fork``-based pool, workers inherit all of it.  ``backend`` selects
-    the execution engine faulty runs use (``decoded``, ``compiled`` or
-    ``reference``); ``windowed`` (the default) arms injection hooks only
-    inside the fault window of each faulty run.
+    The runner's warm-up also captures the workload's VM checkpoints, cached
+    alongside the golden trace — under a ``fork``-based pool, workers
+    inherit all of it.  ``backend`` selects the execution engine faulty runs
+    use (``decoded``, ``compiled`` or ``reference``).
     """
-    return ExperimentRunner(
-        build_program(name),
-        fast_forward=fast_forward,
-        checkpoint_interval=checkpoint_interval,
-        backend=backend,
-        windowed=windowed,
-    )
+    return ExperimentRunner(build_program(name), backend=backend)

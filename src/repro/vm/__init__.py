@@ -56,7 +56,6 @@ from repro.vm.interpreter import (
 )
 from repro.vm.reference import ReferenceInterpreter
 from repro.vm.snapshot import (
-    CheckpointingInterpreter,
     CheckpointStore,
     FrameSnapshot,
     VMSnapshot,
@@ -74,7 +73,6 @@ __all__ = [
     "AbortFault",
     "ArithmeticFault",
     "capture_checkpoints",
-    "CheckpointingInterpreter",
     "CheckpointStore",
     "CompiledCode",
     "CompiledInterpreter",

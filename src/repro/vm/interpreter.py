@@ -190,8 +190,8 @@ class SuspendedRun:
     :class:`~repro.vm.snapshot.VMSnapshot`) and the VM stack cursor at the
     pause.  Memory, output and ``dynamic_index`` live on the interpreter —
     a suspended run is only valid on the interpreter that produced it, with
-    no intervening runs (windowed execution's in-process hand-off; nothing
-    is copied).
+    no intervening runs (the in-process hand-off of windowed execution and
+    of checkpoint capture; nothing is copied).
     """
 
     __slots__ = ("frames", "stack_cursor")
@@ -514,9 +514,10 @@ class Interpreter:
     ) -> Optional[RuntimeScalar]:
         """The driver inner loop, entered at ``(block, position)``.
 
-        A normal run enters at the entry block, position 0.  Fast-forward
-        resume enters mid-block with ``skip_phis`` set, because the captured
-        position is always past the block's phi moves.
+        A normal run enters at the entry block, position 0.  A resumed level
+        enters mid-block with ``skip_phis`` set (its position lies past the
+        block's phi moves), or at a block entry with the captured incoming
+        edge as ``previous`` when its pause came before the phi group.
 
         When a pause tick is armed (:meth:`_segment`), the loop raises
         :class:`_PauseSignal` the moment ``dynamic_index`` reaches it —

@@ -13,13 +13,14 @@ prefix free to skip:
   dynamic-instruction counter.  Snapshots are immutable and
   copy-on-write-friendly: restoring never mutates the snapshot, so one
   snapshot serves every experiment whose injection time lies at or after it;
-* :class:`CheckpointingInterpreter` is the profiling-run driver: it executes
-  identically to the base interpreter (same ticks, trace and result) while
-  maintaining an explicit shadow of the Python call recursion, and captures a
-  snapshot every *K* ticks under a fixed snapshot budget
-  (:data:`DEFAULT_MAX_CHECKPOINTS`): whenever the budget overflows, every
-  other snapshot is dropped and the interval doubles — bounding capture
-  memory at a spacing proportional to the golden length.  ``K`` starts at a
+* :func:`capture_checkpoints` is the profiling run: the ordinary interpreter
+  executes in segments (:meth:`~repro.vm.interpreter.Interpreter.run_segment`
+  / :meth:`~repro.vm.interpreter.Interpreter.continue_segment`), and every
+  pause — each *K* ticks — freezes the whole call stack, which is recorded
+  with memory, output and tick as one snapshot.  A fixed snapshot budget
+  (:data:`DEFAULT_MAX_CHECKPOINTS`) bounds capture memory: whenever it
+  overflows, every other snapshot is dropped and the interval doubles, so
+  the spacing ends proportional to the golden length.  ``K`` starts at a
   fine default (auto-tune) or at an explicit ``checkpoint_interval``;
 * :class:`CheckpointStore` holds the captured snapshots sorted by tick with
   an O(log n) ``latest_at`` lookup;
@@ -48,26 +49,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.errors import ExecutionSetupError
 from repro.ir.module import Module
 from repro.telemetry import metrics as telemetry_metrics
-from repro.vm import bitops
-from repro.vm.faults import (
-    AbortFault,
-    HangDetected,
-    InvalidJumpFault,
-    SegmentationFault,
-)
-from repro.vm.interpreter import Interpreter
+from repro.vm.interpreter import Interpreter, SuspendedRun
 from repro.vm.memory import MemoryState
-from repro.vm.program import (
-    KIND_BRANCH,
-    KIND_COND_BRANCH,
-    KIND_RETURN,
-    KIND_SIMPLE,
-    UNDEFINED,
-    DecodedFunction,
-    DecodedProgram,
-    _read_op,
-    decode_module,
-)
+from repro.vm.program import DecodedFunction, DecodedProgram, decode_module
 from repro.vm.runtime import ExecutionLimits, ExecutionResult, RuntimeScalar
 from repro.vm.trace import GoldenTrace, TraceCollector
 
@@ -105,10 +89,10 @@ class FrameSnapshot:
     the ``call`` it is suspended in.
 
     ``previous`` is normally ``None`` (the captured position lies past the
-    block's phi moves).  Segment pauses (windowed execution) can suspend a
-    run *before* a block's phi group; such a record carries the incoming CFG
-    edge in ``previous`` and resumes by executing the phis for that edge
-    first.
+    block's phi moves).  A segment pause — a checkpoint capture or a
+    windowed run's — can suspend a run *before* a block's phi group; such a
+    record carries the incoming CFG edge in ``previous`` and resumes by
+    executing the phis for that edge first.
     """
 
     __slots__ = ("dfunc", "block_index", "position", "frame", "stack_mark", "previous")
@@ -198,173 +182,6 @@ class CheckpointStore:
         )
 
 
-class _LiveFrame:
-    """Mutable shadow of one in-flight function invocation (capture only)."""
-
-    __slots__ = ("dfunc", "frame", "stack_mark", "block_index", "position")
-
-    def __init__(self, dfunc: DecodedFunction, frame: List, stack_mark: int) -> None:
-        self.dfunc = dfunc
-        self.frame = frame
-        self.stack_mark = stack_mark
-        self.block_index = 0
-        self.position = 0
-
-
-class CheckpointingInterpreter(Interpreter):
-    """A driver that captures :class:`VMSnapshot`\\ s every *K* ticks.
-
-    Execution is bit-identical to the base :class:`Interpreter` — same tick
-    sequence, trace, hooks and result — at the cost of shadow-stack
-    bookkeeping per instruction, which is why this driver is used for the
-    once-per-workload profiling run only, never for experiments.
-    """
-
-    def __init__(
-        self,
-        program: Union[DecodedProgram, Module],
-        *,
-        checkpoint_interval: Optional[int] = None,
-        max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
-        **kwargs,
-    ) -> None:
-        super().__init__(program, **kwargs)
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ExecutionSetupError("checkpoint_interval must be positive")
-        if max_checkpoints < 2:
-            raise ExecutionSetupError("max_checkpoints must be at least 2")
-        #: Starting spacing; an explicit interval pins the starting point but
-        #: the snapshot budget still applies (thinning doubles the spacing),
-        #: so capture memory stays bounded on arbitrarily long golden runs.
-        self.interval = checkpoint_interval or DEFAULT_INITIAL_INTERVAL
-        self._max_checkpoints = max_checkpoints
-        self._next_checkpoint = self.interval
-        self._live: List[_LiveFrame] = []
-        #: Captured snapshots, in tick order.
-        self.snapshots: List[VMSnapshot] = []
-
-    # -- capture ------------------------------------------------------------
-    def _capture(self, block, position: int) -> None:
-        live = self._live
-        frames = [
-            FrameSnapshot(
-                shadow.dfunc,
-                shadow.block_index,
-                shadow.position,
-                tuple(shadow.frame),
-                shadow.stack_mark,
-            )
-            for shadow in live[:-1]
-        ]
-        top = live[-1]
-        frames.append(
-            FrameSnapshot(
-                top.dfunc, block.index, position, tuple(top.frame), top.stack_mark
-            )
-        )
-        self.snapshots.append(
-            VMSnapshot(
-                tick=self.dynamic_index,
-                frames=tuple(frames),
-                memory=self.memory.capture_state(),
-                output=tuple(self.output),
-                program=self.program,
-            )
-        )
-        if len(self.snapshots) > self._max_checkpoints:
-            # Budget exceeded: keep every other snapshot and space the rest
-            # twice as far apart — interval converges to O(length / budget).
-            del self.snapshots[1::2]
-            self.interval *= 2
-        self._next_checkpoint = self.dynamic_index + self.interval
-
-    # -- driver overrides ----------------------------------------------------
-    def _run_function(
-        self, dfunc: DecodedFunction, args: List[RuntimeScalar]
-    ) -> Optional[RuntimeScalar]:
-        if self._call_depth >= self.limits.max_call_depth:
-            raise SegmentationFault(
-                f"call depth exceeded {self.limits.max_call_depth} (stack overflow)",
-                dynamic_index=self.dynamic_index,
-            )
-        self._call_depth += 1
-        stack_mark = self.memory.stack_mark()
-        frame: List = [UNDEFINED] * dfunc.frame_size
-        self._live.append(_LiveFrame(dfunc, frame, stack_mark))
-        try:
-            slot = 0
-            for canon, actual in zip(dfunc.arg_canons, args):
-                frame[slot] = canon(actual)
-                slot += 1
-            return self._run_blocks(dfunc, frame)
-        finally:
-            self._live.pop()
-            self.memory.stack_release(stack_mark)
-            self._call_depth -= 1
-
-    def _block_loop(
-        self, frame: List, block, previous: int, position: int, skip_phis: bool
-    ) -> Optional[RuntimeScalar]:
-        # A copy of the base inner loop with two additions per instruction:
-        # the checkpoint trigger and the shadow-stack position update (so an
-        # outer level suspended in a call knows where to resume).  Keeping the
-        # additions out of the base loop keeps experiments at full speed.
-        limit = self.limits.max_dynamic_instructions
-        trace = self._trace_append
-        shadow = self._live[-1]
-
-        while True:
-            if block.phi_count and not skip_phis:
-                self._run_phis(block, previous, frame, trace)
-            skip_phis = False
-
-            code = block.code
-            code_len = block.code_len
-            while position < code_len:
-                din = code[position]
-                index = self.dynamic_index
-                if index >= self._next_checkpoint:
-                    self._capture(block, position)
-                if index >= limit:
-                    raise HangDetected(index, limit)
-                if trace is not None:
-                    trace(din.meta)
-                self.dynamic_index = index + 1
-
-                kind = din.kind
-                if kind == KIND_SIMPLE:
-                    shadow.block_index = block.index
-                    shadow.position = position
-                    din.handler(self, frame, din)
-                    position += 1
-                    continue
-                if kind == KIND_BRANCH:
-                    previous, block = block.index, din.target
-                    break
-                if kind == KIND_COND_BRANCH:
-                    condition = _read_op(self, frame, din, din.operands[0])
-                    previous, block = (
-                        block.index,
-                        din.if_true if condition else din.if_false,
-                    )
-                    break
-                if kind == KIND_RETURN:
-                    if not din.operands:
-                        return None
-                    value = _read_op(self, frame, din, din.operands[0])
-                    return bitops.canonicalize(value, din.ret_type)
-                raise AbortFault(
-                    "executed an unreachable instruction",
-                    dynamic_index=self.dynamic_index,
-                )
-            else:
-                raise InvalidJumpFault(
-                    f"control fell off the end of block %{block.name}",
-                    dynamic_index=self.dynamic_index,
-                )
-            position = 0
-
-
 def capture_checkpoints(
     program: Union[DecodedProgram, Module],
     *,
@@ -377,29 +194,66 @@ def capture_checkpoints(
 ) -> Tuple[CheckpointStore, ExecutionResult]:
     """Run the program fault-free and capture its checkpoint snapshots.
 
+    The ordinary interpreter runs with the trace collector armed, pausing every
+    ``interval`` ticks.  A pause freezes the whole call stack (the
+    :class:`~repro.vm.interpreter.SuspendedRun`'s frames are exactly the
+    snapshot's); the unwind released every level's stack frame, so the
+    stack cursor is re-armed before memory is captured.  A pause that would
+    split a phi group suspends before it, at a lower tick, and its
+    innermost frame carries the incoming edge in ``previous``; pause
+    targets advance on a fixed grid, so a long phi group is passed on a
+    later pause and only one snapshot per tick is kept.
+
     Raises if the run does not complete (a program that crashes without any
     injected fault is a benchmark bug, exactly like golden profiling).
     """
-    interpreter = CheckpointingInterpreter(
+    if checkpoint_interval is not None and checkpoint_interval < 1:
+        raise ExecutionSetupError("checkpoint_interval must be positive")
+    if max_checkpoints < 2:
+        raise ExecutionSetupError("max_checkpoints must be at least 2")
+    interpreter = Interpreter(
         program,
         entry=entry,
         limits=limits or ExecutionLimits(),
         trace_collector=trace_collector,
-        checkpoint_interval=checkpoint_interval,
-        max_checkpoints=max_checkpoints,
     )
-    result = interpreter.run(list(args))
+    memory = interpreter.memory
+    # An explicit interval pins the starting point but the snapshot budget
+    # still applies (thinning doubles the spacing), so capture memory stays
+    # bounded on arbitrarily long golden runs.
+    interval = checkpoint_interval or DEFAULT_INITIAL_INTERVAL
+    snapshots: List[VMSnapshot] = []
+    pause = interval
+    out = interpreter.run_segment(list(args), pause)
+    while isinstance(out, SuspendedRun):
+        memory.segments["stack"].cursor = out.stack_cursor
+        tick = interpreter.dynamic_index
+        if not snapshots or snapshots[-1].tick != tick:
+            snapshots.append(
+                VMSnapshot(
+                    tick=tick,
+                    frames=out.frames,
+                    memory=memory.capture_state(),
+                    output=tuple(interpreter.output),
+                    program=interpreter.program,
+                )
+            )
+            if len(snapshots) > max_checkpoints:
+                # Budget exceeded: keep every other snapshot and space the
+                # rest twice as far apart — the interval converges to
+                # O(length / budget).
+                del snapshots[1::2]
+                interval *= 2
+        pause += interval
+        out = interpreter.continue_segment(out, pause)
+    result: ExecutionResult = out
     if not result.completed:
         detail = result.fault.category if result.fault else "hang"
         raise RuntimeError(
             f"fault-free run of {interpreter.module.name} did not complete ({detail})"
         )
     store = CheckpointStore(
-        interpreter.program,
-        entry,
-        tuple(args),
-        interpreter.interval,
-        interpreter.snapshots,
+        interpreter.program, entry, tuple(args), interval, snapshots
     )
     return store, result
 

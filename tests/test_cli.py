@@ -27,21 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_fast_forward_options(self):
-        parser = build_parser()
-        args = parser.parse_args(["figure", "1", "--no-fast-forward"])
-        assert args.no_fast_forward
-        assert args.checkpoint_interval is None
-        args = parser.parse_args(["figure", "1", "--checkpoint-interval", "128"])
-        assert not args.no_fast_forward
-        assert args.checkpoint_interval == 128
-
-    def test_non_positive_checkpoint_interval_rejected(self):
-        parser = build_parser()
-        for bad in ("0", "-5"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["figure", "1", "--checkpoint-interval", bad])
-
 
 class TestCommands:
     def test_list_programs(self, capsys):

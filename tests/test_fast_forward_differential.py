@@ -132,6 +132,15 @@ def _campaign_configs(experiments=16):
     ]
 
 
+def _runner_provider(**settings):
+    """A provider building each workload's runner with the given settings."""
+
+    def provider(name):
+        return ExperimentRunner(registry.build_program(name), **settings)
+
+    return provider
+
+
 def _store_bytes(tmp_path, filename, provider, engine=None):
     runner = CampaignRunner(provider, engine=engine) if engine else CampaignRunner(provider)
     store = runner.run_campaigns(_campaign_configs(), ResultStore())
@@ -141,9 +150,9 @@ def _store_bytes(tmp_path, filename, provider, engine=None):
 
 
 def test_store_bytes_identical_fast_forward_vs_scratch(tmp_path):
-    fast = _store_bytes(tmp_path, "fast.json", RegistryProvider(fast_forward=True))
+    fast = _store_bytes(tmp_path, "fast.json", _runner_provider(fast_forward=True))
     scratch = _store_bytes(
-        tmp_path, "scratch.json", RegistryProvider(fast_forward=False)
+        tmp_path, "scratch.json", _runner_provider(fast_forward=False)
     )
     assert fast == scratch
 
@@ -165,6 +174,6 @@ def test_store_bytes_identical_serial_vs_multiprocess_sorted_chunks(tmp_path):
 def test_store_bytes_identical_with_explicit_checkpoint_interval(tmp_path):
     default = _store_bytes(tmp_path, "default.json", RegistryProvider())
     pinned = _store_bytes(
-        tmp_path, "pinned.json", RegistryProvider(checkpoint_interval=97)
+        tmp_path, "pinned.json", _runner_provider(checkpoint_interval=97)
     )
     assert default == pinned

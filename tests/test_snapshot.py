@@ -4,11 +4,13 @@ import pytest
 
 from repro.frontend import compile_program
 from repro.vm import (
+    CompiledInterpreter,
     GoldenTrace,
     Interpreter,
     Memory,
     TraceCollector,
     capture_checkpoints,
+    compile_module,
     decode_module,
     golden_with_checkpoints,
 )
@@ -303,3 +305,78 @@ class TestCheckpointCache:
         assert store_second is not store_first
         assert store_second.program is decode_module(module)
         assert store_first.program is not store_second.program
+
+
+# ----------------------------------------------------------------- phi groups
+class TestCheckpointsBeforePhiGroups:
+    """A capture pause that would split a phi group suspends before it.
+
+    Such a snapshot's innermost frame carries the incoming edge in
+    ``previous``; resuming it runs that edge's phis first, on both
+    resumable backends, and the golden artifact codec keeps the edge.
+    """
+
+    INTERVALS = range(1, 7)
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        from test_ir_builder_and_interpreter import build_loop_module
+
+        module = build_loop_module(50)
+        decoded = decode_module(module)
+        full = Interpreter(decoded).run()
+        return decoded, compile_module(module), full
+
+    @staticmethod
+    def _assert_resumes_match(snapshots, decoded, compiled, full):
+        for snapshot in snapshots:
+            for vm in (Interpreter(decoded), CompiledInterpreter(compiled)):
+                result = vm.resume(snapshot)
+                assert result.return_value == full.return_value
+                assert result.output == full.output
+                assert result.dynamic_instructions == full.dynamic_instructions
+
+    def test_some_snapshot_suspends_before_a_phi_group(self, loop):
+        decoded, _compiled, _full = loop
+        before_phis = [
+            snapshot
+            for interval in self.INTERVALS
+            for snapshot in capture_checkpoints(decoded, checkpoint_interval=interval)[
+                0
+            ].snapshots
+            if snapshot.frames[-1].previous is not None
+        ]
+        assert before_phis
+
+    def test_resume_from_every_snapshot_matches_full_run(self, loop):
+        decoded, compiled, full = loop
+        for interval in self.INTERVALS:
+            store, result = capture_checkpoints(decoded, checkpoint_interval=interval)
+            assert result.dynamic_instructions == full.dynamic_instructions
+            assert len(set(store.ticks)) == len(store.ticks)
+            self._assert_resumes_match(store.snapshots, decoded, compiled, full)
+
+    def test_golden_artifact_round_trip_keeps_previous(self, loop):
+        import pickle
+
+        from repro import artifacts
+
+        decoded, compiled, full = loop
+        for interval in self.INTERVALS:
+            collector = TraceCollector()
+            store, result = capture_checkpoints(
+                decoded, checkpoint_interval=interval, trace_collector=collector
+            )
+            golden = collector.build(
+                result.output, result.return_value, checkpoint_ticks=tuple(store.ticks)
+            )
+            payload = pickle.loads(pickle.dumps(artifacts.serialize_golden(golden, store)))
+            _golden, loaded = artifacts.deserialize_golden(payload, decoded)
+            assert [
+                [frame.previous for frame in snapshot.frames]
+                for snapshot in loaded.snapshots
+            ] == [
+                [frame.previous for frame in snapshot.frames]
+                for snapshot in store.snapshots
+            ]
+            self._assert_resumes_match(loaded.snapshots, decoded, compiled, full)

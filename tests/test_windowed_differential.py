@@ -21,12 +21,7 @@ import random
 
 import pytest
 
-from repro.campaign import (
-    CampaignConfig,
-    CampaignRunner,
-    RegistryProvider,
-    ResultStore,
-)
+from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
 from repro.injection import ExperimentRunner, TECHNIQUES
 from repro.injection.faultmodel import FaultSpec, win_size_by_index
 from repro.injection.outcome import Outcome
@@ -213,6 +208,15 @@ def test_windowed_exhausted_signal_detaches():
 
 
 # --------------------------------------------------------------------- store bytes
+def _runner_provider(**settings):
+    """A provider building each workload's runner with the given settings."""
+
+    def provider(name):
+        return ExperimentRunner(registry.build_program(name), **settings)
+
+    return provider
+
+
 def _store_bytes(tmp_path, filename, provider):
     configs = [
         CampaignConfig(
@@ -241,11 +245,11 @@ def test_store_bytes_identical_windowed_vs_hooked(tmp_path, backend):
     windowed = _store_bytes(
         tmp_path,
         f"windowed-{backend}.json",
-        RegistryProvider(backend=backend, windowed=True),
+        _runner_provider(backend=backend, windowed=True),
     )
     hooked = _store_bytes(
         tmp_path,
         f"hooked-{backend}.json",
-        RegistryProvider(backend=backend, windowed=False),
+        _runner_provider(backend=backend, windowed=False),
     )
     assert windowed == hooked
